@@ -10,12 +10,11 @@
 //!
 //! - the manager, primes, and globals are target-independent and are
 //!   always reused;
-//! - each algorithm's engine is reused across *descending* Δ_y steps
-//!   (the monotonic-memo fast path) and **rebuilt** on an ascending
-//!   step — the server-path half of the unsorted-ladder fix, mirroring
-//!   `WarmSession`;
+//! - each algorithm's engine is reused for every later request, at any
+//!   Δ_y and in any order ([`SpcfEngine::retarget`] is order-free);
 //! - a budget-exhausted or panicked computation discards the engine
-//!   (its prepared state may be partial), never the session.
+//!   (its prepared state may be partial), never the session, and an
+//!   exhausted *warm* engine gets one retry on a fresh engine.
 //!
 //! [`SessionPool`] keys sessions by FNV-1a over the *canonicalized*
 //! BLIF (parse → [`tm_netlist::blif::write_blif`]), so textually
@@ -72,11 +71,6 @@ fn algo_index(algorithm: Algorithm) -> usize {
     }
 }
 
-struct EngineSlot {
-    engine: Box<dyn SpcfEngine + Send>,
-    last_target: Option<Delay>,
-}
-
 /// One circuit's warm serving state: netlist, BDD manager, and one
 /// engine per algorithm, reusable across requests (see module docs).
 pub struct PooledSession {
@@ -84,7 +78,7 @@ pub struct PooledSession {
     bdd: Bdd,
     primes: GatePrimes,
     globals: LazyGlobals,
-    slots: [Option<EngineSlot>; 4],
+    slots: [Option<Box<dyn SpcfEngine + Send>>; 4],
     computes: u64,
 }
 
@@ -143,7 +137,7 @@ impl PooledSession {
         self.slots
             .iter()
             .flatten()
-            .map(|s| s.engine.memo_entries())
+            .map(|e| e.memo_entries())
             .fold(0, u64::saturating_add)
     }
 
@@ -158,8 +152,8 @@ impl PooledSession {
     fn capacity_roots(&self) -> Vec<BddRef> {
         let mut roots = Vec::new();
         self.globals.collect_roots(&mut roots);
-        for slot in self.slots.iter().flatten() {
-            slot.engine.collect_roots(&mut roots);
+        for engine in self.slots.iter().flatten() {
+            engine.collect_roots(&mut roots);
         }
         roots
     }
@@ -172,8 +166,8 @@ impl PooledSession {
         let roots = self.capacity_roots();
         let remap = self.bdd.gc(&roots);
         self.globals.remap_refs(&remap);
-        for slot in self.slots.iter_mut().flatten() {
-            slot.engine.remap_refs(&remap);
+        for engine in self.slots.iter_mut().flatten() {
+            engine.remap_refs(&remap);
         }
         (before - self.bdd.node_count()) as u64
     }
@@ -188,8 +182,8 @@ impl PooledSession {
             let roots = self.capacity_roots();
             let remap = self.bdd.reorder(&roots);
             self.globals.remap_refs(&remap);
-            for slot in self.slots.iter_mut().flatten() {
-                slot.engine.remap_refs(&remap);
+            for engine in self.slots.iter_mut().flatten() {
+                engine.remap_refs(&remap);
             }
         }
         before.saturating_sub(self.bdd.node_count()) as u64
@@ -211,18 +205,19 @@ impl PooledSession {
     }
 
     /// Evaluates the SPCF of every output critical at `target` under
-    /// `budget`, reusing warm state where the ladder contract allows:
-    /// an ascending Δ_y step rebuilds the algorithm's engine instead of
-    /// trusting its retarget fast path (the server-side unsorted-ladder
-    /// fix), and an exhausted or panicked run discards the engine so
-    /// partial prepared state can never leak into the next request.
+    /// `budget`, reusing the algorithm's warm engine whatever targets
+    /// it served before. An exhausted or panicked run discards the
+    /// engine, so partial prepared state can never leak into the next
+    /// request.
     ///
-    /// A *node*-budget exhaustion gets one recovery attempt: the failed
-    /// engine was already discarded, so a GC round (plus sifting when
-    /// the store ballooned) reclaims its dead intermediates and refunds
-    /// them to the budget before a single retry from a fresh engine.
-    /// Step or memo exhaustion propagates immediately — the caller's
-    /// degradation ladder owns that path.
+    /// An exhaustion gets one retry on a fresh engine when the failed
+    /// engine was warm — holding memo entries of earlier requests, all
+    /// charged against this request's budget — or when the trip was on
+    /// *nodes*, in which case a GC round (plus sifting when the store
+    /// ballooned) first reclaims the dead intermediates and refunds them
+    /// to the budget. A fresh engine's step or memo exhaustion
+    /// propagates immediately — the caller's degradation ladder owns
+    /// that path.
     pub fn compute(
         &mut self,
         algorithm: Algorithm,
@@ -230,9 +225,14 @@ impl PooledSession {
         budget: Budget,
     ) -> Result<SpcfSet, Exhausted> {
         self.computes += 1;
+        let slot = &self.slots[algo_index(algorithm)];
+        let warm = slot.as_ref().is_some_and(|e| e.memo_entries() > 0);
         match self.compute_attempt(algorithm, target, budget) {
-            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
-                self.maintain();
+            Err(e) if warm || e.resource == tm_resilience::Resource::BddNodes => {
+                tm_telemetry::counter_add("spcf.session.rebuilds", 1);
+                if e.resource == tm_resilience::Resource::BddNodes {
+                    self.maintain();
+                }
                 self.compute_attempt(algorithm, target, budget)
             }
             r => r,
@@ -251,19 +251,7 @@ impl PooledSession {
         // unwinding through `compute` leaves the slot empty, so the
         // next request starts from a fresh engine, not a half-prepared
         // one.
-        let slot = match self.slots[idx].take() {
-            Some(slot) if slot.last_target.is_some_and(|prev| target > prev) => {
-                // Ascending step: outside the monotonic-reuse contract.
-                tm_telemetry::counter_add("spcf.session.rebuilds", 1);
-                None
-            }
-            other => other,
-        };
-        let mut slot = slot.unwrap_or_else(|| EngineSlot {
-            engine: engine_for(algorithm),
-            last_target: None,
-        });
-        slot.last_target = Some(target);
+        let mut engine = self.slots[idx].take().unwrap_or_else(|| engine_for(algorithm));
 
         // Fault-injection site: an armed `compute.panic` unwinds here,
         // after the slot was taken out — exercising exactly the
@@ -290,7 +278,7 @@ impl PooledSession {
                     "spcf.prepare",
                     &[("targets", targets.len() as f64)],
                 );
-                slot.engine.retarget(&mut cx, &targets)
+                engine.retarget(&mut cx, &targets)
             };
             retargeted.and_then(|()| {
                 let mut outputs = Vec::with_capacity(targets.len());
@@ -300,7 +288,7 @@ impl PooledSession {
                             "spcf.output",
                             &[("net", o.index() as f64)],
                         );
-                        slot.engine.compute_output(&mut cx, o)?
+                        engine.compute_output(&mut cx, o)?
                     };
                     outputs.push(OutputSpcf { output: o, spcf });
                 }
@@ -308,13 +296,9 @@ impl PooledSession {
             })
         };
         self.bdd.set_budget(prev_budget);
-        match result {
-            Ok(outputs) => {
-                self.slots[idx] = Some(slot);
-                Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
-            }
-            Err(e) => Err(e), // slot stays empty: rebuild on next use
-        }
+        let outputs = result?; // on error the slot stays empty
+        self.slots[idx] = Some(engine);
+        Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
     }
 }
 

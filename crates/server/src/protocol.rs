@@ -415,4 +415,24 @@ mod tests {
         let err = Request::parse(huge.as_bytes()).expect_err("ladder cap");
         assert_eq!(error_code(&err), "invalid");
     }
+
+    #[test]
+    fn parses_a_frame_sized_blif_in_linear_time() {
+        // A BLIF string as long as the frame cap: per-character
+        // revalidation of the rest of the buffer made this quadratic
+        // (minutes); the run-at-a-time string scanner takes
+        // milliseconds.
+        let line = ".names a b n1 # \u{e9}\u{2206}\n11 1\n";
+        let mut blif = line.repeat(DEFAULT_MAX_FRAME as usize / line.len());
+        blif.push_str(&" ".repeat(DEFAULT_MAX_FRAME as usize - blif.len()));
+        assert_eq!(blif.len(), DEFAULT_MAX_FRAME as usize);
+        let payload = format!(
+            r#"{{"verb":"spcf","blif":{},"targets":[0.9],"relative":true}}"#,
+            Json::str(blif.as_str()).render()
+        );
+        match Request::parse(payload.as_bytes()).expect("frame-sized request parses") {
+            Request::Spcf { blif: parsed, .. } => assert!(parsed == blif, "BLIF mangled"),
+            other => panic!("parsed as {other:?}"),
+        }
+    }
 }

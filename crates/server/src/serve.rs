@@ -812,15 +812,30 @@ mod tests {
         assert_eq!(j.get("coverage").and_then(Json::as_num), Some(1.0));
     }
 
+    /// `frame` with its `seq` (position in the ladder) zeroed — the only
+    /// field a warm multi-point request may differ in from a cold
+    /// single-point one.
+    fn without_seq(frame: &str) -> String {
+        let mut j = Json::parse(frame).expect("report frame");
+        if let Json::Obj(members) = &mut j {
+            for (k, v) in members.iter_mut() {
+                if k == "seq" {
+                    *v = Json::Num(0.0);
+                }
+            }
+        }
+        j.render()
+    }
+
     #[test]
     fn unsorted_ladder_matches_pointwise_cold_runs() {
-        // The server-path half of the ascending-ladder fix: a warm
-        // pooled session fed an unsorted ladder must produce the same
-        // frames as a cold core seeing each target in isolation.
+        // Engine retargeting is order-free: a warm pooled session fed an
+        // unsorted ladder must produce the same frames as a cold core
+        // seeing each target in isolation, without replacing engines.
         let _scope = tm_telemetry::Scope::enter();
         let warm = ServeCore::new(ServeConfig::default());
         let ladder = [0.9, 0.95, 0.5, 0.85, 0.45];
-        for algorithm in ["short-path", "path-based", "node-based"] {
+        for algorithm in ["short-path", "path-based", "node-based", "conservative"] {
             let ladder_json = format!(
                 "[{}]",
                 ladder.iter().map(f64::to_string).collect::<Vec<_>>().join(",")
@@ -832,27 +847,65 @@ mod tests {
                 let cold_frames = cold.handle_payload(
                     spcf_request(&tiny_blif(), algorithm, &format!("[{point}]")).as_bytes(),
                 );
-                let mut warm_j = Json::parse(&frames[i]).expect("warm frame");
-                let cold_j = Json::parse(&cold_frames[0]).expect("cold frame");
-                // Only `seq` may differ (position in the ladder).
-                if let Json::Obj(members) = &mut warm_j {
-                    for (k, v) in members.iter_mut() {
-                        if k == "seq" {
-                            *v = Json::Num(0.0);
-                        }
-                    }
-                }
                 assert_eq!(
-                    warm_j.render(),
-                    cold_j.render(),
+                    without_seq(&frames[i]),
+                    without_seq(&cold_frames[0]),
                     "{algorithm}@{point}: warm frame diverged from cold"
                 );
             }
         }
         let snap = tm_telemetry::snapshot();
-        assert!(
-            snap.counter("spcf.session.rebuilds").unwrap_or(0) >= 1,
-            "the ascending steps must have rebuilt engines"
-        );
+        assert_eq!(snap.counter("spcf.session.rebuilds"), None, "no engine was replaced");
+
+        // Repeating a short-path request is pure memo hits: the pool
+        // does not publish engine counters, but every memo miss inserts
+        // exactly one entry, so flat entries mean zero misses.
+        let request = spcf_request(&tiny_blif(), "short-path", &format!("{ladder:?}"));
+        let first = warm.handle_payload(request.as_bytes());
+        let entries = warm.pool.stats().memo_entries;
+        assert!(entries > 0, "the short-path engine memoized something");
+        assert_eq!(warm.handle_payload(request.as_bytes()), first);
+        assert_eq!(warm.pool.stats().memo_entries, entries, "a repeat added memo misses");
+    }
+
+    #[test]
+    fn warm_engine_over_memo_budget_retries_on_a_fresh_engine() {
+        // A reused engine charges its lifetime memo against each
+        // request's budget. Two ladders that each fit alone but not
+        // together must both be answered exactly: the warm engine's
+        // exhaustion is retried once on a fresh engine instead of
+        // stepping down the degradation ladder.
+        let _scope = tm_telemetry::Scope::enter();
+        let blif = crate::gen::synthetic_blif(11, 10, 36);
+        let first = spcf_request(&blif, "short-path", "[0.9,0.8]");
+        let second = spcf_request(&blif, "short-path", "[0.6,0.5]");
+        let memo_after = |requests: &[&str]| {
+            let core = ServeCore::new(ServeConfig::default());
+            for r in requests {
+                core.handle_payload(r.as_bytes());
+            }
+            core.pool.stats().memo_entries
+        };
+        let fits_each = memo_after(&[&first]).max(memo_after(&[&second]));
+        let union = memo_after(&[&first, &second]);
+        assert!(union > fits_each, "vacuous fixture: the ladders share every memo entry");
+
+        let config = ServeConfig {
+            budget: Budget::unlimited().with_max_memo_entries(fits_each),
+            ..ServeConfig::default()
+        };
+        let warm = ServeCore::new(config);
+        warm.handle_payload(first.as_bytes());
+        let frames = warm.handle_payload(second.as_bytes());
+        let cold = ServeCore::new(config).handle_payload(second.as_bytes());
+        assert_eq!(frames, cold, "the warm answer must equal a cold core's");
+        for f in &frames[..2] {
+            let j = Json::parse(f).expect("report");
+            let algorithm = j.get("algorithm").and_then(Json::as_str);
+            assert_eq!(algorithm, Some("short-path-based"), "{f}");
+        }
+        let snap = tm_telemetry::snapshot();
+        assert!(snap.counter("spcf.session.rebuilds").unwrap_or(0) >= 1, "no retry happened");
+        assert_eq!(snap.counter("serve.degrade.node_based"), None, "stepped down the ladder");
     }
 }

@@ -125,7 +125,9 @@ pub trait SpcfEngine {
     }
 
     /// Re-aims an already-prepared engine at `cx.target` (the
-    /// warm-session path; see [`WarmSession`]). The default is a full
+    /// warm-session path; see [`WarmSession`]). Order-free: afterwards
+    /// the engine answers exactly as a fresh one prepared at `cx.target`
+    /// would, whatever targets it served before. The default is a full
     /// re-preparation — always correct, never fast. Engines whose
     /// prepared state does not depend on the target override this to
     /// skip the redundant rebuild: the short-path engine's arrival
@@ -404,7 +406,6 @@ pub struct WarmSession<'n, 'c> {
     primes: GatePrimes,
     globals: LazyGlobals,
     retargets: u64,
-    last_target: Option<Delay>,
 }
 
 impl<'n, 'c> WarmSession<'n, 'c> {
@@ -437,7 +438,6 @@ impl<'n, 'c> WarmSession<'n, 'c> {
             primes: GatePrimes::new(),
             globals: LazyGlobals::new(netlist),
             retargets: 0,
-            last_target: None,
         }
     }
 
@@ -501,27 +501,28 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     /// Evaluates the SPCF of every output critical at `target`,
     /// reusing all target-independent state from previous calls.
     ///
-    /// Any call order is correct; a *descending* ladder is fastest for
-    /// the exact engines (each tightening extends, rather than
-    /// replaces, the work of the previous point). An *ascending* step
-    /// (target above the previous point) is outside the monotonic-reuse
-    /// contract the engines' `retarget` fast paths were written for, so
-    /// the session rebuilds the engine from scratch rather than trusting
-    /// every engine's prepared state to be target-independent — the warm
-    /// manager, gate primes and global functions are shared across the
-    /// rebuild, so the cost is bounded by one cold `prepare`.
+    /// Any call order is correct (the [`SpcfEngine::retarget`]
+    /// contract); a *descending* ladder is cheapest for the exact
+    /// engines, since each tightening extends the previous point's work.
     ///
-    /// When the attempt exhausts the manager's *node* budget, the
-    /// session runs one round of capacity maintenance (GC + conditional
-    /// reorder) and retries once under the same budget — reclaimed dead
-    /// intermediates and a better variable order often fit the query
-    /// where the raw append-only store did not. Step or memo exhaustion
-    /// is not recoverable by GC and propagates immediately (the caller's
-    /// degradation ladder handles it).
+    /// An exhausted attempt gets one retry under the same budget. On
+    /// the manager's *node* budget the session first runs capacity
+    /// maintenance (GC + conditional reorder), which often fits the
+    /// query where the append-only store did not. On any other
+    /// resource, a *warm* engine — one holding memo entries of earlier
+    /// targets, all charged against this query's budget — is replaced
+    /// by a fresh one for the retry (`spcf.session.rebuilds`); a fresh
+    /// engine's exhaustion propagates to the caller's degradation
+    /// ladder.
     pub fn try_retarget(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
+        let warm = self.engine.memo_entries() > 0;
         match self.retarget_attempt(target) {
             Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
                 self.maintain();
+                self.retarget_attempt(target)
+            }
+            Err(_) if warm => {
+                self.replace_engine();
                 self.retarget_attempt(target)
             }
             r => r,
@@ -529,10 +530,6 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     }
 
     fn retarget_attempt(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
-        if self.last_target.is_some_and(|prev| target > prev) {
-            self.rebuild_engine();
-        }
-        self.last_target = Some(target);
         let _span = tm_telemetry::span::enter(span_name(self.engine.algorithm()));
         tm_telemetry::counter_add("spcf.session.retargets", 1);
         self.retargets += 1;
@@ -588,7 +585,7 @@ impl<'n, 'c> WarmSession<'n, 'c> {
     /// Replaces the engine with a fresh one of the same algorithm,
     /// publishing the outgoing engine's lifetime counters first (each
     /// engine instance publishes exactly once — here, or at `Drop`).
-    fn rebuild_engine(&mut self) {
+    fn replace_engine(&mut self) {
         tm_telemetry::counter_add("spcf.session.rebuilds", 1);
         let algorithm = self.engine.algorithm();
         let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;

@@ -122,21 +122,22 @@ fn descending_ladder_is_monotone() {
     }
 }
 
-/// Regression for the ascending-step hazard: the engines' `retarget`
-/// fast paths assume a *descending* ladder (memoized answers only gain
-/// stabilization queries as the target tightens), and historically the
-/// session trusted the caller to sort. An unsorted ladder silently
-/// violated that contract. The session now detects an ascending step
-/// and rebuilds the engine, so any call order must match cold runs bit
-/// for bit — pinned here for every engine on an adversarially shuffled
-/// ladder that ascends, descends, and revisits.
+/// Retargeting is order-free: every engine's `retarget` must leave it
+/// answering exactly as a fresh engine would, whatever targets it
+/// served before. Pinned here for every engine on an adversarially
+/// shuffled ladder that ascends, descends, and revisits.
 #[test]
 fn unsorted_ladder_matches_cold_runs_bit_for_bit() {
     let unsorted = [0.70, 0.95, 0.55, 0.85, 0.55, 0.95];
     for nl in ladder_suite() {
         let sta = Sta::new(&nl);
         let delta = sta.critical_path_delay();
-        for algorithm in [Algorithm::ShortPath, Algorithm::PathBased, Algorithm::NodeBased] {
+        for algorithm in [
+            Algorithm::ShortPath,
+            Algorithm::PathBased,
+            Algorithm::NodeBased,
+            Algorithm::Conservative,
+        ] {
             let mut warm_bdd = Bdd::new(nl.inputs().len());
             let mut session =
                 WarmSession::new(algorithm, &nl, &sta, &mut warm_bdd, Budget::unlimited());
@@ -173,6 +174,65 @@ fn unsorted_ladder_matches_cold_runs_bit_for_bit() {
             }
         }
     }
+}
+
+/// A reused engine charges its lifetime memo against each query's
+/// budget. Two ladders that each fit a memo budget alone but not
+/// together must both be answered exactly: the warm engine's
+/// exhaustion is retried once on a fresh engine.
+#[test]
+fn warm_engine_over_memo_budget_retries_on_a_fresh_engine() {
+    let nl = &ladder_suite()[2];
+    let sta = Sta::new(nl);
+    let delta = sta.critical_path_delay();
+    let first: &[f64] = &[0.95, 0.9];
+    let second: &[f64] = &[0.6, 0.55];
+    // Memo entries a short-path session holds after `ladders`, read off
+    // the gauge its engine publishes on drop.
+    let memo_after = |ladders: &[&[f64]]| -> u64 {
+        let _scope = tm_telemetry::Scope::enter();
+        let mut bdd = Bdd::new(nl.inputs().len());
+        let mut session =
+            WarmSession::new(Algorithm::ShortPath, nl, &sta, &mut bdd, Budget::unlimited());
+        for &frac in ladders.iter().copied().flatten() {
+            session.retarget(delta * frac);
+        }
+        drop(session);
+        tm_telemetry::snapshot().gauge("spcf.short_path.memo_entries").expect("memo gauge") as u64
+    };
+    let fits_each = memo_after(&[first]).max(memo_after(&[second]));
+    assert!(
+        memo_after(&[first, second]) > fits_each,
+        "vacuous fixture: the ladders share every memo entry"
+    );
+
+    let _scope = tm_telemetry::Scope::enter();
+    let budget = Budget::unlimited().with_max_memo_entries(fits_each);
+    let mut bdd = Bdd::new(nl.inputs().len());
+    let mut session = WarmSession::new(Algorithm::ShortPath, nl, &sta, &mut bdd, budget);
+    for &frac in first.iter().chain(second) {
+        let target = delta * frac;
+        let warm = session
+            .try_retarget(target)
+            .unwrap_or_else(|e| panic!("@{frac}: a fresh engine fits this point: {e}"));
+        let mut cold_bdd = Bdd::new(nl.inputs().len());
+        let cold = spcf_with(
+            Algorithm::ShortPath,
+            nl,
+            &sta,
+            &mut cold_bdd,
+            target,
+            &SpcfOptions::default(),
+        );
+        assert_eq!(warm.outputs.len(), cold.outputs.len(), "@{frac}");
+        for (w, c) in warm.outputs.iter().zip(&cold.outputs) {
+            assert_eq!(session.bdd().export(w.spcf), cold_bdd.export(c.spcf), "@{frac}");
+        }
+    }
+    assert!(
+        tm_telemetry::snapshot().counter("spcf.session.rebuilds").unwrap_or(0) >= 1,
+        "the warm engine was never replaced"
+    );
 }
 
 #[test]

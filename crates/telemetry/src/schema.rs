@@ -67,7 +67,8 @@ pub const KNOWN_METRICS: &[(&str, MetricKind)] = &[
     ("resilience.budget.exhausted", MetricKind::Counter),
     ("resilience.fallback.node_based", MetricKind::Counter),
     ("resilience.fallback.conservative", MetricKind::Counter),
-    // tm-spcf warm sessions: defensive rebuilds on ascending ladders.
+    // tm-spcf warm sessions: engines replaced by a fresh one to retry an
+    // exhausted query.
     ("spcf.session.rebuilds", MetricKind::Counter),
     // tm-server: masking-as-a-service daemon.
     ("serve.requests", MetricKind::Counter),

@@ -222,6 +222,7 @@ impl Parser<'_> {
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
@@ -235,13 +236,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or
+                    // backslash at once: both are ASCII, so the run
+                    // ends on a char boundary and one validation per
+                    // run keeps parsing linear in the string's length.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let run = std::str::from_utf8(&self.bytes[self.pos..end])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = end;
                 }
             }
         }
@@ -376,6 +382,54 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"unterminated", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_unterminated_strings_and_bad_escapes() {
+        for bad in [
+            "\"abc",
+            "\"ab\u{e9}c",
+            "\"abc\\\"",
+            "\"abc\\",
+            "[\"a\",\"b",
+            "\"\\x\"",
+            "\"\\\u{e9}\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\u+041\"",
+            "\"\\u",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_through_render_and_parse() {
+        use crate::prop::{check, Config, Gen};
+        // Alphabet: ASCII, multi-byte UTF-8 (2-, 3- and 4-byte), the
+        // characters the writer escapes, and text that looks like an
+        // escape once rendered.
+        const PIECES: &[&str] = &[
+            "a", "Z", " ", "é", "∆", "𝔹", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}",
+            "\u{8}", "\u{c}", "\\u0041", "\\n", "/", "\u{7f}", "\u{fffd}",
+        ];
+        check(
+            "json_string_round_trip",
+            &Config::with_cases(256),
+            |g: &mut Gen| {
+                let len = g.gen_range(0usize..40);
+                (0..len).map(|_| PIECES[g.gen_range(0..PIECES.len())]).collect::<String>()
+            },
+            |s: &String| {
+                let doc = Json::Arr(vec![Json::str(s.as_str()), Json::obj([("k", Json::str(s))])]);
+                match Json::parse(&doc.render()) {
+                    Ok(back) if back == doc => Ok(()),
+                    other => Err(format!("round trip gave {other:?}")),
+                }
+            },
+        );
+        // `\u` escapes the writer never emits still decode.
+        assert_eq!(Json::parse("\"\\u00e9\\u2206\\/\\b\\f\""), Ok(Json::str("é∆/\u{8}\u{c}")));
     }
 
     #[test]

@@ -41,6 +41,10 @@
 #    armed-flag checks, AND the capacity tier's per-mk bookkeeping
 #    (exempt-mode branch, live-entry counter, identity-order fast path)
 #    must cost nothing while inactive.
+# 11. Benchmark gate tests: the self-contained `benchmark/` package
+#    (its own Cargo workspace, so the workspace test run above does not
+#    reach it) proves each workload's correctness gate can fail by
+#    feeding it corrupted output.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,6 +69,9 @@ cargo build --release --offline --workspace --all-targets
 
 echo "== offline workspace tests =="
 cargo test -q --offline --workspace
+
+echo "== benchmark gate tests =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== telemetry smoke bench + schema validation =="
 metrics_json=target/tm-bench/ci-spcf-metrics.json
