@@ -7,11 +7,12 @@
 //! workers (recorded in the report's `meta.jobs`).
 
 use std::hint::black_box;
+use std::sync::Arc;
 use tm_bench::{harness_library, BenchArgs};
 use tm_logic::Bdd;
 use tm_netlist::suites::{smoke_suite, table1_suite};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, Session, SpcfOptions};
 use tm_sta::Sta;
 use tm_testkit::bench::BenchGroup;
 
@@ -27,7 +28,7 @@ fn main() {
     let options = SpcfOptions::default().with_jobs(args.jobs());
     let suite = if args.smoke { smoke_suite() } else { table1_suite() };
     for entry in suite.iter().take(3) {
-        let nl = entry.build(lib.clone());
+        let nl = Arc::new(entry.build(lib.clone()));
         let sta = Sta::new(&nl);
         let target = sta.critical_path_delay() * 0.9;
         for (id, algorithm) in [
@@ -42,16 +43,17 @@ fn main() {
         }
         // The 8-point protection-band sweep kernel (sweep.rs inner
         // loop): short-path SPCF across a descending Δ_y ladder, one
-        // warm session per sweep — the manager, prime cache, global
-        // BDDs, and short-path memo carry across all eight targets.
+        // session per sweep — the manager, prime cache, global BDDs,
+        // and short-path memo carry across all eight targets.
         let delta = sta.critical_path_delay();
         group.bench(&format!("sweep8_short_path/{}", entry.name), || {
             let mut crit = 0usize;
-            let mut bdd = Bdd::new(nl.inputs().len());
-            let mut session =
-                WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut bdd, Budget::unlimited());
+            let mut session = Session::new(Arc::clone(&nl));
             for pct in [99u32, 95, 90, 85, 80, 70, 60, 50] {
-                let set = session.retarget(delta * (pct as f64 / 100.0));
+                let target = delta * (pct as f64 / 100.0);
+                let set = session
+                    .compute(Algorithm::ShortPath, target, Budget::unlimited())
+                    .expect("unlimited budget cannot exhaust");
                 crit += set.outputs.len();
             }
             black_box(crit)

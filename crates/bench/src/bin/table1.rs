@@ -32,7 +32,7 @@ fn main() {
     let mut sp_vs_nb = 0.0;
     let rows: Vec<_> = table1_suite()
         .iter()
-        .map(|e| run_table1_row(e, lib.clone(), jobs))
+        .map(|e| run_table1_row(e, lib.clone(), jobs).expect("unlimited budget cannot exhaust"))
         .collect();
     for row in &rows {
         println!(

@@ -25,7 +25,8 @@ use tm_masking::{synthesize, verify, MaskingOptions, MaskingResult};
 use tm_netlist::library::{lsi10k_like, Library};
 use tm_netlist::suites::SuiteEntry;
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_resilience::Exhausted;
+use tm_spcf::{try_spcf_with, Algorithm, Session, SpcfOptions, SpcfSet};
 use tm_sta::Sta;
 
 /// One algorithm's measurement in a Table 1 row.
@@ -56,56 +57,45 @@ pub struct Table1Row {
 
 /// Runs the three SPCF engines on one suite circuit at `Δ_y = 0.9Δ`,
 /// sharding critical outputs across `jobs` workers (1 = serial; the
-/// pattern counts are identical for every value).
-pub fn run_table1_row(entry: &SuiteEntry, library: Arc<Library>, jobs: usize) -> Table1Row {
-    let nl = entry.build(library);
+/// pattern counts are identical for every value). The budget is
+/// unlimited, so the error is unreachable in practice.
+pub fn run_table1_row(
+    entry: &SuiteEntry,
+    library: Arc<Library>,
+    jobs: usize,
+) -> Result<Table1Row, Exhausted> {
+    let nl = Arc::new(entry.build(library));
     let sta = Sta::new(&nl);
     let target = sta.critical_path_delay() * 0.9;
-
-    if jobs > 1 {
-        // Parallel path: shard critical outputs across workers; each
-        // worker owns a manager, so warm sharing does not apply.
-        let options = SpcfOptions::default().with_jobs(jobs);
-        let measure = |algorithm: Algorithm| -> SpcfMeasurement {
-            let mut bdd = Bdd::new(nl.inputs().len());
-            let set = spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options);
-            SpcfMeasurement {
-                critical_patterns: set.critical_pattern_count(&bdd),
-                runtime: set.runtime,
-            }
-        };
-        return Table1Row {
-            circuit: entry.name.to_string(),
-            io: (nl.inputs().len(), nl.outputs().len()),
-            gates: nl.num_gates(),
-            node_based: measure(Algorithm::NodeBased),
-            path_based: measure(Algorithm::PathBased),
-            short_path: measure(Algorithm::ShortPath),
-        };
-    }
-
-    // Serial path: the three engines run as warm sessions over one
-    // shared manager, so unique-table nodes (global BDDs, literal
-    // cubes) built by one engine are cache hits for the next. Pattern
-    // counts are identical to the parallel path (the determinism suite
-    // checks the exports bit-for-bit).
-    let mut bdd = Bdd::new(nl.inputs().len());
-    let mut measure = |algorithm: Algorithm| -> SpcfMeasurement {
-        let mut session = WarmSession::new(algorithm, &nl, &sta, &mut bdd, Budget::unlimited());
-        let set = session.retarget(target);
-        SpcfMeasurement {
-            critical_patterns: set.critical_pattern_count(session.bdd()),
+    // Serial: the three engines share one session's manager, so
+    // unique-table nodes (global BDDs, literal cubes) built by one
+    // engine are cache hits for the next. Parallel: each worker owns a
+    // manager, so warm sharing does not apply. Pattern counts are
+    // identical either way (the determinism suite checks the exports
+    // bit-for-bit).
+    let mut session = Session::new(Arc::clone(&nl));
+    let options = SpcfOptions::default().with_jobs(jobs);
+    let mut measure = |algorithm: Algorithm| -> Result<SpcfMeasurement, Exhausted> {
+        let count = |set: SpcfSet, bdd: &Bdd| SpcfMeasurement {
+            critical_patterns: set.critical_pattern_count(bdd),
             runtime: set.runtime,
+        };
+        if jobs > 1 {
+            let mut bdd = Bdd::new(nl.inputs().len());
+            let set = try_spcf_with(algorithm, &nl, &sta, &mut bdd, target, &options)?;
+            return Ok(count(set, &bdd));
         }
+        let set = session.compute(algorithm, target, Budget::unlimited())?;
+        Ok(count(set, session.bdd()))
     };
-    Table1Row {
+    Ok(Table1Row {
         circuit: entry.name.to_string(),
         io: (nl.inputs().len(), nl.outputs().len()),
         gates: nl.num_gates(),
-        node_based: measure(Algorithm::NodeBased),
-        path_based: measure(Algorithm::PathBased),
-        short_path: measure(Algorithm::ShortPath),
-    }
+        node_based: measure(Algorithm::NodeBased)?,
+        path_based: measure(Algorithm::PathBased)?,
+        short_path: measure(Algorithm::ShortPath)?,
+    })
 }
 
 /// One row of Table 2 (plus the verification columns the paper asserts
@@ -253,7 +243,7 @@ mod tests {
     #[test]
     fn table1_row_invariants() {
         let lib = harness_library();
-        let row = run_table1_row(&smoke_suite()[0], lib, 2);
+        let row = run_table1_row(&smoke_suite()[0], lib, 2).expect("unlimited budget");
         // Exact engines agree; node-based is a superset count.
         let rel = (row.path_based.critical_patterns - row.short_path.critical_patterns).abs()
             / row.short_path.critical_patterns.max(1.0);

@@ -25,6 +25,7 @@ use crate::design::{MaskedDesign, ProtectedOutput};
 use crate::options::{CubeSelection, MaskingOptions};
 use crate::report::MaskingReport;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 use tm_logic::bdd::{Bdd, BddRef};
 use tm_logic::{qm, Cube, Sop, TruthTable};
@@ -32,8 +33,7 @@ use tm_netlist::extract::extract;
 use tm_netlist::map::tech_map;
 use tm_netlist::sop_network::{SigId, SigKind, SopNetwork};
 use tm_netlist::{Delay, NetId, Netlist};
-use tm_resilience::Budget;
-use tm_spcf::{try_spcf_with, Algorithm, SpcfOptions, SpcfSet, WarmSession};
+use tm_spcf::{ladder, try_spcf_with, Algorithm, Session, SpcfOptions, SpcfSet};
 use tm_sta::Sta;
 
 /// How far the SPCF engine ladder had to degrade to fit the
@@ -56,6 +56,17 @@ pub enum DegradationLevel {
     Conservative,
 }
 
+impl From<Algorithm> for DegradationLevel {
+    /// The level of the ladder rung that answered.
+    fn from(rung: Algorithm) -> Self {
+        match rung {
+            Algorithm::ShortPath | Algorithm::PathBased => DegradationLevel::Exact,
+            Algorithm::NodeBased => DegradationLevel::NodeBased,
+            Algorithm::Conservative => DegradationLevel::Conservative,
+        }
+    }
+}
+
 impl std::fmt::Display for DegradationLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -64,52 +75,6 @@ impl std::fmt::Display for DegradationLevel {
             DegradationLevel::Conservative => "conservative",
         })
     }
-}
-
-/// Runs the SPCF engine ladder: exact short-path → node-based
-/// over-approximation → guard-everything, stepping down only when the
-/// budget is exhausted. Each rung starts from a fresh BDD manager so a
-/// blown-up rung leaves no memory behind. Every rung dispatches through
-/// the engine-session driver, so `jobs > 1` shards critical outputs
-/// across workers with no effect on the result (DESIGN.md §8).
-fn spcf_ladder(
-    netlist: &Netlist,
-    sta: &Sta<'_>,
-    target: Delay,
-    budget: Budget,
-    jobs: usize,
-) -> (Bdd, SpcfSet, DegradationLevel) {
-    let num_vars = netlist.inputs().len().max(1);
-    let options = SpcfOptions::default().with_jobs(jobs).with_budget(budget);
-    let rungs = [
-        (Algorithm::ShortPath, DegradationLevel::Exact, "resilience.fallback.node_based", "short-path", "node-based"),
-        (Algorithm::NodeBased, DegradationLevel::NodeBased, "resilience.fallback.conservative", "node-based", "guard-everything"),
-    ];
-    for (algorithm, level, fallback_counter, name, next) in rungs {
-        let mut bdd = Bdd::new(num_vars);
-        match try_spcf_with(algorithm, netlist, sta, &mut bdd, target, &options) {
-            Ok(spcf) => return (bdd, spcf, level),
-            Err(e) => {
-                tm_telemetry::counter_add(fallback_counter, 1);
-                if tm_telemetry::trace_level() >= 2 {
-                    eprintln!("[synth] {name} SPCF: {e}; falling back to {next}");
-                }
-            }
-        }
-    }
-    // The guard-everything rung does no budgeted work; run it serial
-    // and unlimited.
-    let mut bdd = Bdd::new(num_vars);
-    let spcf = try_spcf_with(
-        Algorithm::Conservative,
-        netlist,
-        sta,
-        &mut bdd,
-        target,
-        &SpcfOptions::default(),
-    )
-    .expect("the guard-everything engine performs no budgeted work");
-    (bdd, spcf, DegradationLevel::Conservative)
 }
 
 /// Everything `synthesize` produces: the design, the SPCFs (with their
@@ -160,10 +125,24 @@ pub fn synthesize(netlist: &Netlist, options: MaskingOptions) -> MaskingResult {
     let delta = sta.critical_path_delay();
     let target = delta * options.target_fraction;
 
-    let (mut bdd, spcf, degradation) = {
+    // The SPCF engine ladder: exact short-path → node-based →
+    // guard-everything, stepping down only on budget exhaustion. Each
+    // rung starts from a fresh manager, so a blown-up rung leaves no
+    // memory behind, and honors `jobs` with no effect on the result
+    // (DESIGN.md §8). The guard-everything rung does no budgeted work
+    // and runs serial and unlimited.
+    let (rung, (mut bdd, spcf)) = {
         let _s = tm_telemetry::span!("masking.spcf");
-        spcf_ladder(netlist, &sta, target, options.budget, options.jobs)
+        let budgeted = SpcfOptions::default().with_jobs(options.jobs).with_budget(options.budget);
+        ladder(Algorithm::ShortPath, |rung| {
+            let mut bdd = Bdd::new(netlist.inputs().len().max(1));
+            let spcf_options =
+                if rung == Algorithm::Conservative { SpcfOptions::default() } else { budgeted };
+            try_spcf_with(rung, netlist, &sta, &mut bdd, target, &spcf_options).map(|s| (bdd, s))
+        })
+        .expect("the guard-everything engine performs no budgeted work")
     };
+    let degradation = DegradationLevel::from(rung);
     let (design, report) =
         synthesize_from_spcf(netlist, &mut bdd, &spcf, delta, target, degradation, &options, start);
     bdd.publish_metrics();
@@ -217,17 +196,15 @@ pub fn synthesize_sweep(
     let _span = tm_telemetry::span!("masking.sweep");
     let sta = Sta::new(netlist);
     let delta = sta.critical_path_delay();
-    let mut ladder = fractions.to_vec();
-    ladder.sort_by(|a, b| b.total_cmp(a));
+    let mut fractions = fractions.to_vec();
+    fractions.sort_by(|a, b| b.total_cmp(a));
 
-    let mut bdd = Bdd::new(netlist.inputs().len().max(1));
-    let mut session =
-        WarmSession::new(Algorithm::ShortPath, netlist, &sta, &mut bdd, options.budget);
-    let mut points = Vec::with_capacity(ladder.len());
-    for frac in ladder {
+    let mut session = Session::new(Arc::new(netlist.clone()));
+    let mut points = Vec::with_capacity(fractions.len());
+    for frac in fractions {
         let start = Instant::now();
         let target = delta * frac;
-        let point = match session.try_retarget(target) {
+        let point = match session.compute(Algorithm::ShortPath, target, options.budget) {
             Ok(spcf) => {
                 let mean_spcf_fraction = mean_spcf_fraction(session.bdd(), &spcf);
                 let (design, report) = synthesize_from_spcf(
@@ -259,8 +236,6 @@ pub fn synthesize_sweep(
         };
         points.push(point);
     }
-    drop(session);
-    bdd.publish_metrics();
     points
 }
 

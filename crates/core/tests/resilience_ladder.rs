@@ -44,8 +44,8 @@ fn memo_budget_degrades_to_node_based_and_still_verifies() {
 
     let snap = tm_telemetry::snapshot();
     assert!(snap.counter("resilience.budget.exhausted").unwrap_or(0) >= 1);
-    assert!(snap.counter("resilience.fallback.node_based").unwrap_or(0) >= 1);
-    assert_eq!(snap.counter("resilience.fallback.conservative").unwrap_or(0), 0);
+    assert!(snap.counter("spcf.degrade.node_based").unwrap_or(0) >= 1);
+    assert_eq!(snap.counter("spcf.degrade.conservative").unwrap_or(0), 0);
 
     // The mask synthesized against the over-approximation passes the
     // exact checks: coverage, safety, transparency.
@@ -82,8 +82,8 @@ fn node_budget_degrades_to_conservative_guard() {
     }
 
     let snap = tm_telemetry::snapshot();
-    assert!(snap.counter("resilience.fallback.node_based").unwrap_or(0) >= 1);
-    assert!(snap.counter("resilience.fallback.conservative").unwrap_or(0) >= 1);
+    assert!(snap.counter("spcf.degrade.node_based").unwrap_or(0) >= 1);
+    assert!(snap.counter("spcf.degrade.conservative").unwrap_or(0) >= 1);
 
     // Guarding everything is still sound: the indicator fires on every
     // pattern and the prediction is the full function.

@@ -11,12 +11,12 @@
 //! timing-accurate simulator at each point, and reports the lowest safe
 //! voltage with and without masking plus the resulting energy saving.
 
-use tm_logic::Bdd;
+use std::sync::Arc;
 use tm_masking::{inject_and_measure, MaskedDesign};
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{Budget, Context, TmError, TmResult};
 use tm_sim::timing::TimingSim;
-use tm_spcf::{Algorithm, WarmSession};
+use tm_spcf::{Algorithm, Session};
 use tm_sta::Sta;
 
 /// A first-order alpha-power-law delay/energy model for supply scaling.
@@ -262,15 +262,14 @@ impl DvsExplorer {
         let sta = Sta::new(netlist);
         let clock = self.clock.unwrap_or_else(|| sta.critical_path_delay());
 
-        let mut bdd = Bdd::new(netlist.inputs().len().max(1));
-        let mut session =
-            WarmSession::new(Algorithm::ShortPath, netlist, &sta, &mut bdd, Budget::unlimited());
+        let mut session = Session::new(Arc::new(netlist.clone()));
         let mut points = Vec::new();
         let mut vdd = self.model.v_nominal;
         while vdd >= self.v_min - 1e-12 {
             let factor = self.model.delay_factor(vdd);
             let effective_target = clock * (1.0 / factor);
-            let spcf = session.retarget(effective_target);
+            let spcf =
+                session.compute(Algorithm::ShortPath, effective_target, Budget::unlimited())?;
             let union = spcf.union(session.bdd_mut());
             points.push(DvsAnalyticPoint {
                 vdd,

@@ -13,9 +13,10 @@
 //! - [`protocol`]: the frame codec (u32 big-endian length prefix +
 //!   UTF-8 JSON payload) and typed request parsing. Malformed input of
 //!   every kind maps to a typed error frame, never a panic.
-//! - [`pool`]: [`pool::PooledSession`] (a circuit's BDD manager, STA,
-//!   and per-algorithm engine slots) and [`pool::SessionPool`] (strict
-//!   LRU keyed by an FNV-1a hash of the canonicalized BLIF).
+//! - [`pool`]: [`pool::SessionPool`], strict LRU over
+//!   [`tm_spcf::Session`]s (a circuit's BDD manager and per-algorithm
+//!   engine slots) keyed by an FNV-1a hash of the canonicalized BLIF.
+//!   `PooledSession` is the same type under its serving name.
 //! - [`serve`]: [`serve::ServeCore`], the transport-free request
 //!   engine — verb dispatch, request coalescing, the degradation
 //!   ladder as graceful load-shedding, and the `STATS` aggregate.

@@ -1,20 +1,11 @@
-//! The warm-session pool: reusable per-circuit engine state keyed by
+//! The session pool: one warm [`Session`] per circuit, keyed by
 //! netlist hash, with LRU eviction (DESIGN.md §10).
 //!
-//! A [`PooledSession`] is the owning counterpart of
-//! [`tm_spcf::WarmSession`]: where the borrow-based session lives
-//! inside one call frame, the pooled session owns its netlist, BDD
-//! manager, gate primes, global functions, and one engine per
-//! algorithm, so it can sit in a long-lived pool and serve request
-//! after request. Reuse preserves the warm-session contract:
-//!
-//! - the manager, primes, and globals are target-independent and are
-//!   always reused;
-//! - each algorithm's engine is reused for every later request, at any
-//!   Δ_y and in any order ([`SpcfEngine::retarget`] is order-free);
-//! - a budget-exhausted or panicked computation discards the engine
-//!   (its prepared state may be partial), never the session, and an
-//!   exhausted *warm* engine gets one retry on a fresh engine.
+//! A [`Session`] owns its netlist, BDD manager, gate primes, global
+//! functions and one engine per algorithm, so it can sit in the pool
+//! and serve request after request at any Δ_y in any order. A
+//! budget-exhausted or panicked computation discards the engine, never
+//! the session.
 //!
 //! [`SessionPool`] keys sessions by FNV-1a over the *canonicalized*
 //! BLIF (parse → [`tm_netlist::blif::write_blif`]), so textually
@@ -25,27 +16,14 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use tm_logic::bdd::BddRef;
-use tm_logic::Bdd;
 use tm_netlist::blif::write_blif;
-use tm_netlist::library::Library;
-use tm_netlist::map::{tech_map, MapOptions};
 use tm_netlist::sop_network::SopNetwork;
-use tm_netlist::{Delay, Netlist};
-use tm_resilience::{Budget, Exhausted, TmError};
-use tm_spcf::engine::{critical_outputs, engine_for, EngineCx, SpcfEngine};
-use tm_spcf::{Algorithm, GatePrimes, LazyGlobals, OutputSpcf, SpcfSet};
-use tm_sta::Sta;
-
-/// FNV-1a 64-bit hash — the pool key over canonicalized BLIF.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use tm_resilience::TmError;
+use tm_spcf::Session;
+/// The pool's session type, under the name the serving API has used.
+pub use tm_spcf::Session as PooledSession;
+/// FNV-1a 64-bit — the pool key over canonicalized BLIF.
+pub use tm_testkit::rng::fnv1a64;
 
 /// Canonicalizes a parsed BLIF network back to text. Hashing this —
 /// not the submitted bytes — makes the pool key insensitive to
@@ -57,249 +35,9 @@ pub fn canonical_blif(sop: &SopNetwork) -> String {
 /// Locks a mutex, recovering the guard if a previous holder panicked —
 /// a long-running server must not let one poisoned request wedge every
 /// later one. Session state is re-validated by the engine-discard
-/// policy in [`PooledSession::compute`].
+/// policy in [`Session::compute`].
 pub fn lock_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn algo_index(algorithm: Algorithm) -> usize {
-    match algorithm {
-        Algorithm::ShortPath => 0,
-        Algorithm::PathBased => 1,
-        Algorithm::NodeBased => 2,
-        Algorithm::Conservative => 3,
-    }
-}
-
-/// One circuit's warm serving state: netlist, BDD manager, and one
-/// engine per algorithm, reusable across requests (see module docs).
-pub struct PooledSession {
-    netlist: Arc<Netlist>,
-    bdd: Bdd,
-    primes: GatePrimes,
-    globals: LazyGlobals,
-    slots: [Option<Box<dyn SpcfEngine + Send>>; 4],
-    computes: u64,
-}
-
-impl PooledSession {
-    /// Builds a session by technology-mapping a parsed BLIF network
-    /// onto `library`.
-    pub fn build(sop: &SopNetwork, library: Arc<Library>) -> Result<PooledSession, TmError> {
-        if sop.outputs().is_empty() {
-            return Err(TmError::invalid_input("circuit has no primary outputs"));
-        }
-        if sop.inputs().is_empty() {
-            return Err(TmError::invalid_input("circuit has no primary inputs"));
-        }
-        let netlist = Arc::new(tech_map(sop, library, MapOptions::default()));
-        Ok(PooledSession::from_netlist(netlist))
-    }
-
-    /// Wraps an already-mapped netlist (test entry point).
-    pub fn from_netlist(netlist: Arc<Netlist>) -> PooledSession {
-        let num_inputs = netlist.inputs().len();
-        let globals = LazyGlobals::new(&netlist);
-        PooledSession {
-            netlist,
-            bdd: Bdd::new(num_inputs),
-            primes: GatePrimes::new(),
-            globals,
-            slots: [None, None, None, None],
-            computes: 0,
-        }
-    }
-
-    /// The mapped circuit this session serves.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// The session's BDD manager (for pattern counts in reports).
-    pub fn bdd(&self) -> &Bdd {
-        &self.bdd
-    }
-
-    /// The circuit's critical path delay Δ (recomputed per call; STA is
-    /// linear in the netlist and borrow-tied to it, so it cannot be
-    /// stored here).
-    pub fn delta(&self) -> Delay {
-        Sta::new(&self.netlist).critical_path_delay()
-    }
-
-    /// Live node count of the session's manager.
-    pub fn node_count(&self) -> u64 {
-        self.bdd.node_count() as u64
-    }
-
-    /// Total memo entries across the session's warm engines.
-    pub fn memo_entries(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|e| e.memo_entries())
-            .fold(0, u64::saturating_add)
-    }
-
-    /// Requests served by this session.
-    pub fn computes(&self) -> u64 {
-        self.computes
-    }
-
-    /// Every [`BddRef`] the session's caches pin across requests: the
-    /// lazily built global net functions plus whatever each resident
-    /// engine reports (stabilization memos, waveforms, on-time tables).
-    fn capacity_roots(&self) -> Vec<BddRef> {
-        let mut roots = Vec::new();
-        self.globals.collect_roots(&mut roots);
-        for engine in self.slots.iter().flatten() {
-            engine.collect_roots(&mut roots);
-        }
-        roots
-    }
-
-    /// Mark-and-sweep of the session manager rooted at the session's
-    /// live refs, with store compaction; every cached ref is rewritten
-    /// through the remap. Returns nodes reclaimed.
-    pub fn gc(&mut self) -> u64 {
-        let before = self.bdd.node_count();
-        let roots = self.capacity_roots();
-        let remap = self.bdd.gc(&roots);
-        self.globals.remap_refs(&remap);
-        for engine in self.slots.iter_mut().flatten() {
-            engine.remap_refs(&remap);
-        }
-        (before - self.bdd.node_count()) as u64
-    }
-
-    /// Full capacity maintenance: GC, then Rudell sifting when the
-    /// store has outgrown the reorder heuristic. Returns total nodes
-    /// reclaimed.
-    pub fn maintain(&mut self) -> u64 {
-        let before = self.bdd.node_count();
-        self.gc();
-        if self.bdd.should_reorder() {
-            let roots = self.capacity_roots();
-            let remap = self.bdd.reorder(&roots);
-            self.globals.remap_refs(&remap);
-            for engine in self.slots.iter_mut().flatten() {
-                engine.remap_refs(&remap);
-            }
-        }
-        before.saturating_sub(self.bdd.node_count()) as u64
-    }
-
-    /// Between-request watermark check: runs maintenance when the
-    /// manager's live store is at or above `watermark` nodes. Returns
-    /// nodes reclaimed (0 when below the watermark). Publishes the
-    /// manager's counter deltas so `bdd.gc.*` / `bdd.reorder.*` land in
-    /// the serving thread's registry (folded into the `stats` verb).
-    pub fn maybe_gc(&mut self, watermark: u64) -> u64 {
-        if self.node_count() >= watermark {
-            let reclaimed = self.maintain();
-            self.bdd.publish_metrics();
-            reclaimed
-        } else {
-            0
-        }
-    }
-
-    /// Evaluates the SPCF of every output critical at `target` under
-    /// `budget`, reusing the algorithm's warm engine whatever targets
-    /// it served before. An exhausted or panicked run discards the
-    /// engine, so partial prepared state can never leak into the next
-    /// request.
-    ///
-    /// An exhaustion gets one retry on a fresh engine when the failed
-    /// engine was warm — holding memo entries of earlier requests, all
-    /// charged against this request's budget — or when the trip was on
-    /// *nodes*, in which case a GC round (plus sifting when the store
-    /// ballooned) first reclaims the dead intermediates and refunds them
-    /// to the budget. A fresh engine's step or memo exhaustion
-    /// propagates immediately — the caller's degradation ladder owns
-    /// that path.
-    pub fn compute(
-        &mut self,
-        algorithm: Algorithm,
-        target: Delay,
-        budget: Budget,
-    ) -> Result<SpcfSet, Exhausted> {
-        self.computes += 1;
-        let slot = &self.slots[algo_index(algorithm)];
-        let warm = slot.as_ref().is_some_and(|e| e.memo_entries() > 0);
-        match self.compute_attempt(algorithm, target, budget) {
-            Err(e) if warm || e.resource == tm_resilience::Resource::BddNodes => {
-                tm_telemetry::counter_add("spcf.session.rebuilds", 1);
-                if e.resource == tm_resilience::Resource::BddNodes {
-                    self.maintain();
-                }
-                self.compute_attempt(algorithm, target, budget)
-            }
-            r => r,
-        }
-    }
-
-    fn compute_attempt(
-        &mut self,
-        algorithm: Algorithm,
-        target: Delay,
-        budget: Budget,
-    ) -> Result<SpcfSet, Exhausted> {
-        let start = Instant::now();
-        let idx = algo_index(algorithm);
-        // Take the engine out for the duration of the run: a panic
-        // unwinding through `compute` leaves the slot empty, so the
-        // next request starts from a fresh engine, not a half-prepared
-        // one.
-        let mut engine = self.slots[idx].take().unwrap_or_else(|| engine_for(algorithm));
-
-        // Fault-injection site: an armed `compute.panic` unwinds here,
-        // after the slot was taken out — exercising exactly the
-        // panic-recovery path the empty-slot design exists for.
-        tm_resilience::fault::compute_panic_check();
-
-        let sta = Sta::new(&self.netlist);
-        let targets = critical_outputs(&self.netlist, &sta, target);
-        let prev_budget = self.bdd.budget();
-        self.bdd.set_budget(budget);
-        tm_telemetry::counter_add("spcf.session.retargets", 1);
-        let result = {
-            let mut cx = EngineCx {
-                netlist: &self.netlist,
-                sta: &sta,
-                target,
-                budget,
-                bdd: &mut self.bdd,
-                primes: &mut self.primes,
-                globals: &mut self.globals,
-            };
-            let retargeted = {
-                let _phase = tm_telemetry::flight::phase_with(
-                    "spcf.prepare",
-                    &[("targets", targets.len() as f64)],
-                );
-                engine.retarget(&mut cx, &targets)
-            };
-            retargeted.and_then(|()| {
-                let mut outputs = Vec::with_capacity(targets.len());
-                for &o in &targets {
-                    let spcf = {
-                        let _phase = tm_telemetry::flight::phase_with(
-                            "spcf.output",
-                            &[("net", o.index() as f64)],
-                        );
-                        engine.compute_output(&mut cx, o)?
-                    };
-                    outputs.push(OutputSpcf { output: o, spcf });
-                }
-                Ok(outputs)
-            })
-        };
-        self.bdd.set_budget(prev_budget);
-        let outputs = result?; // on error the slot stays empty
-        self.slots[idx] = Some(engine);
-        Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
-    }
 }
 
 /// Aggregate pool statistics (the `pool` object of a `stats` frame and
@@ -328,7 +66,7 @@ pub struct PoolStats {
 
 struct PoolEntry {
     key: u64,
-    session: Arc<Mutex<PooledSession>>,
+    session: Arc<Mutex<Session>>,
     /// Completion time of the last checkout of this key.
     last_used: Instant,
 }
@@ -342,7 +80,7 @@ struct PoolInner {
     idle_evicted: u64,
 }
 
-/// An LRU pool of [`PooledSession`]s keyed by canonical-BLIF hash.
+/// An LRU pool of [`Session`]s keyed by canonical-BLIF hash.
 pub struct SessionPool {
     capacity: usize,
     inner: Mutex<PoolInner>,
@@ -375,8 +113,8 @@ impl SessionPool {
     pub fn checkout(
         &self,
         key: u64,
-        build: impl FnOnce() -> Result<PooledSession, TmError>,
-    ) -> Result<Arc<Mutex<PooledSession>>, TmError> {
+        build: impl FnOnce() -> Result<Session, TmError>,
+    ) -> Result<Arc<Mutex<Session>>, TmError> {
         let mut inner = lock_recover(&self.inner);
         if let Some(pos) = inner.entries.iter().position(|e| e.key == key) {
             inner.hits += 1;
@@ -425,7 +163,7 @@ impl SessionPool {
     pub fn stats(&self) -> PoolStats {
         let (sessions, counters) = {
             let inner = lock_recover(&self.inner);
-            let sessions: Vec<Arc<Mutex<PooledSession>>> =
+            let sessions: Vec<Arc<Mutex<Session>>> =
                 inner.entries.iter().map(|e| Arc::clone(&e.session)).collect();
             (sessions, (inner.hits, inner.misses, inner.evictions, inner.idle_evicted))
         };
@@ -453,19 +191,13 @@ mod tests {
     use super::*;
     use tm_netlist::generate::{generate, GeneratorSpec};
     use tm_netlist::library::lsi10k_like;
+    use tm_resilience::Budget;
+    use tm_spcf::Algorithm;
 
-    fn session(i: u64) -> PooledSession {
+    fn session(i: u64) -> Session {
         let lib = Arc::new(lsi10k_like());
         let spec = GeneratorSpec::sized(format!("pool_{i}"), 6, 2, 12);
-        PooledSession::from_netlist(Arc::new(generate(&spec, lib)))
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        Session::new(Arc::new(generate(&spec, lib)))
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! for and what the current load allows: moderate occupancy forces
 //! node-based, heavy occupancy forces conservative, and a full
 //! admission gate rejects at accept time (`crate::net`). Within a
-//! request, a budget-exhausted rung falls to the next cheaper one; a
-//! request that exhausts even the conservative rung is rejected with a
-//! typed `exhausted` error and counted as shed. Nothing in the ladder
-//! blocks or panics.
+//! request, a budget-exhausted rung falls to the next cheaper one
+//! ([`tm_spcf::ladder`]); a request that exhausts even the conservative
+//! rung is rejected with a typed `exhausted` error and counted as shed.
+//! Both kinds of step count under `spcf.degrade.*`, the counters the
+//! masking ladder uses. Nothing in the ladder blocks or panics.
 //!
 //! # Determinism
 //!
@@ -29,7 +30,7 @@
 //! follower the leader's frames, which are the same bytes by the same
 //! argument.
 
-use crate::pool::{canonical_blif, fnv1a64, lock_recover, PoolStats, PooledSession, SessionPool};
+use crate::pool::{canonical_blif, fnv1a64, lock_recover, PoolStats, SessionPool};
 use crate::protocol::{error_frame, error_frame_for, Request};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,7 +41,7 @@ use tm_netlist::blif::parse_blif;
 use tm_netlist::library::{lsi10k_like, Library};
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{Budget, Gate, TmError};
-use tm_spcf::{Algorithm, SpcfSet};
+use tm_spcf::{ladder, shed, Algorithm, Session, SpcfSet};
 use tm_telemetry::flight;
 use tm_telemetry::Snapshot;
 use tm_testkit::json::Json;
@@ -424,7 +425,7 @@ impl ServeCore {
             let mut pool_phase = flight::phase("serve.pool");
             let r = self.pool.checkout(circuit_key, || {
                 built = true;
-                PooledSession::build(sop, Arc::clone(&self.library))
+                Session::build(sop, Arc::clone(&self.library))
             });
             pool_phase.arg("built", built as u8 as f64);
             r
@@ -442,9 +443,9 @@ impl ServeCore {
         // allows right now.
         let inflight = self.gate.in_flight();
         let algorithm = if inflight > self.config.degrade_conservative_at {
-            degrade_to(requested, Algorithm::Conservative, true)
+            shed(requested, Algorithm::Conservative)
         } else if inflight > self.config.degrade_node_based_at {
-            degrade_to(requested, Algorithm::NodeBased, true)
+            shed(requested, Algorithm::NodeBased)
         } else {
             requested
         };
@@ -453,23 +454,12 @@ impl ServeCore {
         let mut frames = Vec::with_capacity(targets.len() + 1);
         for (seq, &raw) in targets.iter().enumerate() {
             let target = if relative { delta * raw } else { Delay::new(raw) };
-            let mut rung = algorithm;
             let outcome = {
                 let _phase = flight::phase_with("serve.compute", &[("seq", seq as f64)]);
-                loop {
-                    match session.compute(rung, target, self.config.budget) {
-                        Ok(set) => break Ok(set),
-                        Err(e) => match next_rung(rung) {
-                            Some(next) => {
-                                rung = degrade_to(rung, next, true);
-                            }
-                            None => break Err(e),
-                        },
-                    }
-                }
+                ladder(algorithm, |rung| session.compute(rung, target, self.config.budget))
             };
             match outcome {
-                Ok(set) => {
+                Ok((_, set)) => {
                     let _phase = flight::phase_with("serve.serialize", &[("seq", seq as f64)]);
                     frames.push(spcf_report_frame(session.netlist(), session.bdd(), &set, seq))
                 }
@@ -493,7 +483,7 @@ impl ServeCore {
     /// session that just served (attributed to the `serve.pool` phase)
     /// and release of pool sessions idle past the configured window.
     /// Both knobs default off; the unarmed path is two `Option` checks.
-    fn end_of_request_maintenance(&self, session: &mut PooledSession) {
+    fn end_of_request_maintenance(&self, session: &mut Session) {
         if let Some(watermark) = self.config.gc_watermark {
             if session.node_count() >= watermark {
                 let mut phase = flight::phase("serve.pool");
@@ -633,41 +623,6 @@ impl ServeCore {
     }
 }
 
-/// The degradation rank of an algorithm: exact engines (0) degrade to
-/// node-based (1) and then conservative (2).
-fn rank(algorithm: Algorithm) -> u8 {
-    match algorithm {
-        Algorithm::ShortPath | Algorithm::PathBased => 0,
-        Algorithm::NodeBased => 1,
-        Algorithm::Conservative => 2,
-    }
-}
-
-/// The next cheaper rung, or `None` from the guard-everything floor.
-fn next_rung(algorithm: Algorithm) -> Option<Algorithm> {
-    match rank(algorithm) {
-        0 => Some(Algorithm::NodeBased),
-        1 => Some(Algorithm::Conservative),
-        _ => None,
-    }
-}
-
-/// Degrades `from` to at least `floor`, counting the step when it is a
-/// real downgrade and `count` is set.
-fn degrade_to(from: Algorithm, floor: Algorithm, count: bool) -> Algorithm {
-    if rank(from) >= rank(floor) {
-        return from;
-    }
-    if count {
-        match floor {
-            Algorithm::NodeBased => tm_telemetry::counter_add("serve.degrade.node_based", 1),
-            Algorithm::Conservative => tm_telemetry::counter_add("serve.degrade.conservative", 1),
-            _ => {}
-        }
-    }
-    floor
-}
-
 /// Renders one ladder point's `report` frame. Deliberately excludes
 /// wall-clock fields: these bytes must be identical for identical
 /// (circuit, algorithm, target) regardless of worker count, pool size,
@@ -774,9 +729,47 @@ mod tests {
             "tight budget must degrade to the guard-everything rung: {frames:?}"
         );
         let snap = tm_telemetry::snapshot();
-        assert!(snap.counter("serve.degrade.node_based").unwrap_or(0) >= 1);
-        assert!(snap.counter("serve.degrade.conservative").unwrap_or(0) >= 1);
+        assert!(snap.counter("spcf.degrade.node_based").unwrap_or(0) >= 1);
+        assert!(snap.counter("spcf.degrade.conservative").unwrap_or(0) >= 1);
         assert_eq!(snap.counter("serve.shed"), None, "degraded, not rejected");
+    }
+
+    #[test]
+    fn step_budget_is_charged_per_request() {
+        // The manager's step counter is lifetime. A resident circuit
+        // served many times under a step budget each request fits cold
+        // must never degrade: GC after every request clears the caches
+        // so each request redoes its work, and the node-based engine
+        // has no memo to fall back on.
+        let _scope = tm_telemetry::Scope::enter();
+        let blif = crate::gen::synthetic_blif(7, 12, 40);
+        let sop = parse_blif(&blif).expect("synthetic BLIF parses");
+        let mut cold = Session::build(&sop, Arc::new(lsi10k_like())).expect("cold session");
+        let target = cold.delta() * 0.9;
+        cold.compute(Algorithm::NodeBased, target, Budget::unlimited()).expect("unlimited");
+        let cold_steps = cold.bdd().steps_taken();
+        assert!(cold_steps > 0, "vacuous fixture: a cold request takes no steps");
+
+        let config = ServeConfig {
+            budget: Budget::unlimited().with_max_steps(2 * cold_steps),
+            gc_watermark: Some(1),
+            ..ServeConfig::default()
+        };
+        let core = ServeCore::new(config);
+        let request = spcf_request(&blif, "node-based", "[0.9]");
+        for i in 0..20 {
+            let frames = core.handle_payload(request.as_bytes());
+            let report = Json::parse(&frames[0]).expect("report");
+            assert_eq!(
+                report.get("algorithm").and_then(Json::as_str),
+                Some("node-based"),
+                "request {i} degraded: {frames:?}"
+            );
+        }
+        let snap = tm_telemetry::snapshot();
+        assert!(snap.counter("bdd.gc.runs").unwrap_or(0) >= 20, "GC ran between requests");
+        assert_eq!(snap.counter("spcf.degrade.conservative"), None);
+        assert_eq!(core.pool_stats().misses, 1, "one resident session served every request");
     }
 
     #[test]
@@ -857,9 +850,10 @@ mod tests {
         let snap = tm_telemetry::snapshot();
         assert_eq!(snap.counter("spcf.session.rebuilds"), None, "no engine was replaced");
 
-        // Repeating a short-path request is pure memo hits: the pool
-        // does not publish engine counters, but every memo miss inserts
-        // exactly one entry, so flat entries mean zero misses.
+        // Repeating a short-path request is pure memo hits: a resident
+        // session publishes no engine counters until it drops, but
+        // every memo miss inserts exactly one entry, so flat entries
+        // mean zero misses.
         let request = spcf_request(&tiny_blif(), "short-path", &format!("{ladder:?}"));
         let first = warm.handle_payload(request.as_bytes());
         let entries = warm.pool.stats().memo_entries;
@@ -906,6 +900,6 @@ mod tests {
         }
         let snap = tm_telemetry::snapshot();
         assert!(snap.counter("spcf.session.rebuilds").unwrap_or(0) >= 1, "no retry happened");
-        assert_eq!(snap.counter("serve.degrade.node_based"), None, "stepped down the ladder");
+        assert_eq!(snap.counter("spcf.degrade.node_based"), None, "stepped down the ladder");
     }
 }

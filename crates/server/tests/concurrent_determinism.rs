@@ -2,17 +2,15 @@
 //! server receives exactly the frames a serial warm-session run would
 //! have produced — for every worker count, pool size, and interleaving.
 //!
-//! The reference is computed with [`tm_spcf::WarmSession`] (the
-//! borrow-based session the engines were proven against) and rendered
-//! through the same [`tm_server::serve::spcf_report_frame`] the server
-//! uses, so any divergence is a real serving bug, not a formatting
-//! difference.
+//! The reference is computed serially on one [`tm_spcf::Session`]
+//! outside any server and rendered through the same
+//! [`tm_server::serve::spcf_report_frame`] the server uses, so any
+//! divergence is a real serving bug, not a formatting difference.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-use tm_logic::Bdd;
 use tm_netlist::blif::parse_blif;
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::map::{tech_map, MapOptions};
@@ -20,8 +18,7 @@ use tm_resilience::Budget;
 use tm_server::gen::synthetic_blif;
 use tm_server::protocol::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 use tm_server::serve::{done_frame, spcf_report_frame, ServeConfig, ServeCore};
-use tm_spcf::{Algorithm, WarmSession};
-use tm_sta::Sta;
+use tm_spcf::{Algorithm, Session};
 use tm_testkit::json::Json;
 
 const FRACTIONS: [f64; 3] = [0.95, 0.6, 0.4];
@@ -42,15 +39,14 @@ fn request_payload(blif: &str, algorithm: &str) -> String {
 fn reference_frames(blif: &str, algorithm: Algorithm) -> Vec<String> {
     let sop = parse_blif(blif).expect("corpus BLIF parses");
     let netlist = tech_map(&sop, Arc::new(lsi10k_like()), MapOptions::default());
-    let sta = Sta::new(&netlist);
-    let delta = sta.critical_path_delay();
-    let mut bdd = Bdd::new(netlist.inputs().len());
-    let mut session =
-        WarmSession::new(algorithm, &netlist, &sta, &mut bdd, Budget::unlimited());
+    let mut session = Session::new(Arc::new(netlist));
+    let delta = session.delta();
     let mut frames = Vec::new();
     for (seq, &fraction) in FRACTIONS.iter().enumerate() {
-        let set = session.try_retarget(delta * fraction).expect("unlimited budget");
-        frames.push(spcf_report_frame(&netlist, session.bdd(), &set, seq));
+        let set = session
+            .compute(algorithm, delta * fraction, Budget::unlimited())
+            .expect("unlimited budget");
+        frames.push(spcf_report_frame(session.netlist(), session.bdd(), &set, seq));
     }
     frames.push(done_frame(FRACTIONS.len()));
     frames

@@ -38,6 +38,19 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
+impl Algorithm {
+    /// The next cheaper rung of the degradation ladder (DESIGN.md §7):
+    /// the exact engines step down to node-based, node-based to
+    /// conservative, and the guard-everything floor has none.
+    pub fn next_rung(self) -> Option<Algorithm> {
+        match self {
+            Algorithm::ShortPath | Algorithm::PathBased => Some(Algorithm::NodeBased),
+            Algorithm::NodeBased => Some(Algorithm::Conservative),
+            Algorithm::Conservative => None,
+        }
+    }
+}
+
 /// The SPCF of one critical primary output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OutputSpcf {

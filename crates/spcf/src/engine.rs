@@ -125,10 +125,11 @@ pub trait SpcfEngine {
     }
 
     /// Re-aims an already-prepared engine at `cx.target` (the
-    /// warm-session path; see [`WarmSession`]). Order-free: afterwards
-    /// the engine answers exactly as a fresh one prepared at `cx.target`
-    /// would, whatever targets it served before. The default is a full
-    /// re-preparation — always correct, never fast. Engines whose
+    /// warm-session path; see [`Session`](crate::Session)). Order-free:
+    /// afterwards the engine answers exactly as a fresh one prepared at
+    /// `cx.target` would, whatever targets it served before. The
+    /// default is a full re-preparation — always correct, never fast,
+    /// and on a fresh engine exactly `prepare`. Engines whose
     /// prepared state does not depend on the target override this to
     /// skip the redundant rebuild: the short-path engine's arrival
     /// tables, gate primes *and* stabilization memo are all
@@ -183,9 +184,9 @@ pub trait SpcfEngine {
     }
 }
 
-/// A fresh engine for `algorithm`. The box is `Send` so long-lived
-/// holders (the serving layer's session pool) can migrate between
-/// worker threads — every engine is plain owned data.
+/// A fresh engine for `algorithm`. The box is `Send` so a
+/// [`Session`](crate::Session) can migrate between serving worker
+/// threads — every engine is plain owned data.
 pub fn engine_for(algorithm: Algorithm) -> Box<dyn SpcfEngine + Send> {
     match algorithm {
         Algorithm::ShortPath => Box::new(crate::short_path::ShortPathEngine::default()),
@@ -196,7 +197,7 @@ pub fn engine_for(algorithm: Algorithm) -> Box<dyn SpcfEngine + Send> {
 }
 
 /// The telemetry span name of an algorithm's session.
-fn span_name(algorithm: Algorithm) -> &'static str {
+pub(crate) fn span_name(algorithm: Algorithm) -> &'static str {
     match algorithm {
         Algorithm::ShortPath => "spcf.short_path",
         Algorithm::PathBased => "spcf.path_based",
@@ -205,8 +206,8 @@ fn span_name(algorithm: Algorithm) -> &'static str {
     }
 }
 
-/// The per-output latency histogram of an algorithm, if it has one
-/// (the conservative engine does no per-output work worth timing).
+/// The per-output latency digest of an algorithm, if it has one (the
+/// conservative engine does no per-output work worth timing).
 fn output_ns_metric(algorithm: Algorithm) -> Option<&'static str> {
     match algorithm {
         Algorithm::ShortPath => Some("spcf.short_path.output_ns"),
@@ -238,6 +239,36 @@ pub fn cone_nets(netlist: &Netlist, targets: &[NetId]) -> Vec<bool> {
         }
     }
     in_cone
+}
+
+/// The serial prepare/output loop shared by [`EngineSession`] and
+/// [`Session`](crate::Session): `retarget` (on a fresh engine that is
+/// `prepare`), then `compute_output` per target in order, each a flight
+/// phase whose latency lands in the algorithm's `output_ns` digest.
+pub(crate) fn compute_targets(
+    engine: &mut dyn SpcfEngine,
+    cx: &mut EngineCx<'_, '_>,
+    targets: &[NetId],
+) -> Result<Vec<OutputSpcf>, Exhausted> {
+    {
+        let _prep = tm_telemetry::flight::phase_with(
+            "spcf.prepare",
+            &[("targets", targets.len() as f64)],
+        );
+        engine.retarget(cx, targets)?;
+    }
+    let metric = output_ns_metric(engine.algorithm());
+    let mut outputs = Vec::with_capacity(targets.len());
+    for &o in targets {
+        let t0 = Instant::now();
+        let _ev = tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
+        let spcf = engine.compute_output(cx, o)?;
+        if let Some(m) = metric {
+            tm_telemetry::digest_record(m, t0.elapsed().as_nanos() as u64);
+        }
+        outputs.push(OutputSpcf { output: o, spcf });
+    }
+    Ok(outputs)
 }
 
 /// One SPCF run: the state every engine needs, owned in one place.
@@ -306,38 +337,11 @@ impl<'n, 'c> EngineSession<'n, 'c> {
         }
     }
 
-    fn compute(
-        &mut self,
-        engine: &mut dyn SpcfEngine,
-        targets: &[NetId],
-    ) -> Result<Vec<OutputSpcf>, Exhausted> {
-        {
-            let _prep = tm_telemetry::flight::phase_with(
-                "spcf.prepare",
-                &[("targets", targets.len() as f64)],
-            );
-            engine.prepare(&mut self.cx(), targets)?;
-        }
-        let metric = output_ns_metric(engine.algorithm());
-        let mut outputs = Vec::with_capacity(targets.len());
-        for &o in targets {
-            let t0 = Instant::now();
-            let _ev =
-                tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-            let spcf = engine.compute_output(&mut self.cx(), o)?;
-            if let Some(m) = metric {
-                tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
-            }
-            outputs.push(OutputSpcf { output: o, spcf });
-        }
-        Ok(outputs)
-    }
-
     /// Runs `engine` over every critical output of the session.
     pub fn run(mut self, engine: &mut dyn SpcfEngine) -> Result<SpcfSet, Exhausted> {
         let _span = tm_telemetry::span::enter(span_name(engine.algorithm()));
         let targets = self.critical_outputs();
-        let result = self.compute(engine, &targets);
+        let result = compute_targets(engine, &mut self.cx(), &targets);
         engine.publish_metrics(&mut self.cx());
         Ok(SpcfSet::new(
             engine.algorithm(),
@@ -367,255 +371,6 @@ impl<'n, 'c> EngineSession<'n, 'c> {
 
 impl Drop for EngineSession<'_, '_> {
     fn drop(&mut self) {
-        self.bdd.set_budget(self.prev_budget);
-    }
-}
-
-/// A reusable SPCF session: one manager, one engine, one prime cache,
-/// one global-BDD cache — queried at a *ladder* of Δ_y targets.
-///
-/// The protection-band sweep, `table1`/`table2`, and the DVS explorer
-/// all evaluate the same circuit at many targets. A cold
-/// [`EngineSession`] per point rebuilds everything; a warm session
-/// keeps it, because almost all of it is target-independent:
-///
-/// - the manager's unique table and computed caches (every retarget's
-///   BDD work lands on warm caches);
-/// - gate primes and lazily built global net functions;
-/// - the short-path engine's stabilization memo — `stab(s, t, v)` never
-///   mentions Δ_y, so a descending ladder re-derives each point from
-///   memoized stabilization sets. This is the computational face of the
-///   paper's monotonicity `Σ_y(Δ') ⊆ Σ_y(Δ)` for `Δ' ≥ Δ`: tightening
-///   the target only *adds* stabilization queries at earlier times; all
-///   previously answered ones are reused verbatim.
-///
-/// Engines opt into reuse via [`SpcfEngine::retarget`]; engines with
-/// target-dependent state (node-based required times) re-prepare and
-/// still benefit from the warm manager and caches.
-///
-/// Construction installs `budget` on the manager; `Drop` restores the
-/// previous budget and publishes the engine's telemetry once (lifetime
-/// engine counters must not be re-added per retarget).
-pub struct WarmSession<'n, 'c> {
-    netlist: &'n Netlist,
-    sta: &'c Sta<'n>,
-    bdd: &'c mut Bdd,
-    budget: Budget,
-    prev_budget: Budget,
-    engine: Box<dyn SpcfEngine + Send>,
-    primes: GatePrimes,
-    globals: LazyGlobals,
-    retargets: u64,
-}
-
-impl<'n, 'c> WarmSession<'n, 'c> {
-    /// Opens a warm session for `algorithm`: validates the
-    /// netlist/STA/manager triple and installs `budget` on the manager
-    /// for the session's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sta` analyzes a different netlist or the manager has
-    /// fewer variables than the netlist has inputs.
-    pub fn new(
-        algorithm: Algorithm,
-        netlist: &'n Netlist,
-        sta: &'c Sta<'n>,
-        bdd: &'c mut Bdd,
-        budget: Budget,
-    ) -> Self {
-        assert!(std::ptr::eq(sta.netlist(), netlist), "STA must analyze the same netlist");
-        assert!(bdd.num_vars() >= netlist.inputs().len(), "BDD manager too narrow");
-        let prev_budget = bdd.budget();
-        bdd.set_budget(budget);
-        WarmSession {
-            netlist,
-            sta,
-            bdd,
-            budget,
-            prev_budget,
-            engine: engine_for(algorithm),
-            primes: GatePrimes::new(),
-            globals: LazyGlobals::new(netlist),
-            retargets: 0,
-        }
-    }
-
-    /// The algorithm this session runs.
-    pub fn algorithm(&self) -> Algorithm {
-        self.engine.algorithm()
-    }
-
-    /// The session's manager (for pattern counts, subset checks, …).
-    /// Returned references stay valid for the whole session.
-    pub fn bdd(&self) -> &Bdd {
-        self.bdd
-    }
-
-    /// Mutable access to the session's manager.
-    pub fn bdd_mut(&mut self) -> &mut Bdd {
-        self.bdd
-    }
-
-    /// Every [`BddRef`] the session's caches pin across retargets: the
-    /// lazily built global net functions plus whatever the engine
-    /// reports via [`SpcfEngine::collect_roots`].
-    fn capacity_roots(&self) -> Vec<BddRef> {
-        let mut roots = Vec::new();
-        self.globals.collect_roots(&mut roots);
-        self.engine.collect_roots(&mut roots);
-        roots
-    }
-
-    /// Mark-and-sweep of the session manager rooted at the session's
-    /// live refs, followed by store compaction; every cached ref is
-    /// rewritten through the index remap. Dead intermediates from past
-    /// ladder points are reclaimed and their node budget refunded (the
-    /// manager charges allocations against its *current* size). Returns
-    /// the number of nodes reclaimed.
-    pub fn gc(&mut self) -> usize {
-        let before = self.bdd.node_count();
-        let roots = self.capacity_roots();
-        let remap = self.bdd.gc(&roots);
-        self.globals.remap_refs(&remap);
-        self.engine.remap_refs(&remap);
-        before - self.bdd.node_count()
-    }
-
-    /// Full capacity maintenance: GC, then Rudell sifting when the
-    /// store has outgrown the reorder heuristic
-    /// ([`Bdd::should_reorder`]). Returns total nodes reclaimed across
-    /// both passes.
-    pub fn maintain(&mut self) -> usize {
-        let before = self.bdd.node_count();
-        self.gc();
-        if self.bdd.should_reorder() {
-            let roots = self.capacity_roots();
-            let remap = self.bdd.reorder(&roots);
-            self.globals.remap_refs(&remap);
-            self.engine.remap_refs(&remap);
-        }
-        before.saturating_sub(self.bdd.node_count())
-    }
-
-    /// Evaluates the SPCF of every output critical at `target`,
-    /// reusing all target-independent state from previous calls.
-    ///
-    /// Any call order is correct (the [`SpcfEngine::retarget`]
-    /// contract); a *descending* ladder is cheapest for the exact
-    /// engines, since each tightening extends the previous point's work.
-    ///
-    /// An exhausted attempt gets one retry under the same budget. On
-    /// the manager's *node* budget the session first runs capacity
-    /// maintenance (GC + conditional reorder), which often fits the
-    /// query where the append-only store did not. On any other
-    /// resource, a *warm* engine — one holding memo entries of earlier
-    /// targets, all charged against this query's budget — is replaced
-    /// by a fresh one for the retry (`spcf.session.rebuilds`); a fresh
-    /// engine's exhaustion propagates to the caller's degradation
-    /// ladder.
-    pub fn try_retarget(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
-        let warm = self.engine.memo_entries() > 0;
-        match self.retarget_attempt(target) {
-            Err(e) if e.resource == tm_resilience::Resource::BddNodes => {
-                self.maintain();
-                self.retarget_attempt(target)
-            }
-            Err(_) if warm => {
-                self.replace_engine();
-                self.retarget_attempt(target)
-            }
-            r => r,
-        }
-    }
-
-    fn retarget_attempt(&mut self, target: Delay) -> Result<SpcfSet, Exhausted> {
-        let _span = tm_telemetry::span::enter(span_name(self.engine.algorithm()));
-        tm_telemetry::counter_add("spcf.session.retargets", 1);
-        self.retargets += 1;
-        let start = Instant::now();
-        let targets = critical_outputs(self.netlist, self.sta, target);
-        let metric = output_ns_metric(self.engine.algorithm());
-        let algorithm = self.engine.algorithm();
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        {
-            let _prep = tm_telemetry::flight::phase_with(
-                "spcf.prepare",
-                &[("targets", targets.len() as f64)],
-            );
-            engine.retarget(&mut cx, &targets)?;
-        }
-        let mut outputs = Vec::with_capacity(targets.len());
-        for &o in &targets {
-            let t0 = Instant::now();
-            let _ev =
-                tm_telemetry::flight::phase_with("spcf.output", &[("net", o.index() as f64)]);
-            let spcf = engine.compute_output(&mut cx, o)?;
-            if let Some(m) = metric {
-                tm_telemetry::histogram_record(m, t0.elapsed().as_nanos() as f64);
-            }
-            outputs.push(OutputSpcf { output: o, spcf });
-        }
-        Ok(SpcfSet::new(algorithm, target, outputs, start.elapsed(), 1))
-    }
-
-    /// Infallible [`WarmSession::try_retarget`] for unlimited budgets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session's budget is finite and exhausts.
-    pub fn retarget(&mut self, target: Delay) -> SpcfSet {
-        self.try_retarget(target).expect("unlimited budget cannot exhaust")
-    }
-
-    /// Number of targets evaluated so far.
-    pub fn retargets(&self) -> u64 {
-        self.retargets
-    }
-
-    /// Replaces the engine with a fresh one of the same algorithm,
-    /// publishing the outgoing engine's lifetime counters first (each
-    /// engine instance publishes exactly once — here, or at `Drop`).
-    fn replace_engine(&mut self) {
-        tm_telemetry::counter_add("spcf.session.rebuilds", 1);
-        let algorithm = self.engine.algorithm();
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target: Delay::ZERO,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        engine.publish_metrics(&mut cx);
-        *engine = engine_for(algorithm);
-    }
-}
-
-impl Drop for WarmSession<'_, '_> {
-    fn drop(&mut self) {
-        let WarmSession { netlist, sta, bdd, budget, engine, primes, globals, .. } = self;
-        let mut cx = EngineCx {
-            netlist,
-            sta,
-            target: Delay::ZERO,
-            budget: *budget,
-            bdd,
-            primes,
-            globals,
-        };
-        engine.publish_metrics(&mut cx);
         self.bdd.set_budget(self.prev_budget);
     }
 }

@@ -43,18 +43,20 @@ pub mod conservative;
 pub mod engine;
 pub mod node_based;
 pub mod path_based;
+pub mod session;
 pub mod short_path;
 
 pub use common::{net_global_bdds, Algorithm, GatePrimes, LazyGlobals, OutputSpcf, SpcfSet};
 pub use conservative::{conservative_spcf, ConservativeEngine};
 pub use engine::{
     critical_outputs, engine_for, spcf_with, try_spcf_with, EngineCx, EngineSession,
-    SpcfEngine, SpcfOptions, WarmSession, JOBS_ENV,
+    SpcfEngine, SpcfOptions, JOBS_ENV,
 };
 pub use node_based::{node_based_spcf, try_node_based_spcf, NodeBasedEngine};
 pub use path_based::{
     exact_output_delays, path_based_spcf, try_path_based_spcf, PathBasedEngine,
 };
+pub use session::{ladder, shed, Session};
 pub use short_path::{
     short_path_spcf, short_path_spcf_of_net, try_short_path_spcf, ShortPathEngine,
 };

@@ -24,11 +24,16 @@ use tm_netlist::library::lsi10k_like;
 use tm_netlist::suites::table1_suite;
 use tm_netlist::{NetId, Netlist};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, Session, SpcfOptions, SpcfSet};
 use tm_sta::Sta;
 
 /// The descending protection-band ladder the sweep binaries walk.
 const FRACTIONS: [f64; 4] = [0.95, 0.85, 0.70, 0.55];
+
+/// One unlimited-budget query on a session.
+fn retarget(session: &mut Session, algorithm: Algorithm, target: tm_netlist::Delay) -> SpcfSet {
+    session.compute(algorithm, target, Budget::unlimited()).expect("unlimited budget")
+}
 
 /// Seeded 12-input circuits in the warm-session suite's shape.
 fn small_suite() -> Vec<Netlist> {
@@ -50,15 +55,14 @@ fn small_suite() -> Vec<Netlist> {
 #[test]
 fn forced_mid_ladder_gc_keeps_warm_equal_to_cold() {
     for nl in small_suite() {
+        let nl = Arc::new(nl);
         let sta = Sta::new(&nl);
         let delta = sta.critical_path_delay();
         for algorithm in [Algorithm::ShortPath, Algorithm::PathBased, Algorithm::NodeBased] {
-            let mut warm_bdd = Bdd::new(nl.inputs().len());
-            let mut session =
-                WarmSession::new(algorithm, &nl, &sta, &mut warm_bdd, Budget::unlimited());
+            let mut session = Session::new(Arc::clone(&nl));
             for (step, &frac) in FRACTIONS.iter().enumerate() {
                 let target = delta * frac;
-                let warm = session.retarget(target);
+                let warm = retarget(&mut session, algorithm, target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
                 let cold = spcf_with(
@@ -94,7 +98,7 @@ fn forced_mid_ladder_gc_keeps_warm_equal_to_cold() {
                 } else {
                     session.maintain();
                 }
-                let again = session.retarget(target);
+                let again = retarget(&mut session, algorithm, target);
                 assert_eq!(again.outputs.len(), cold.outputs.len());
                 for (w, c) in again.outputs.iter().zip(&cold.outputs) {
                     assert_eq!(
@@ -122,20 +126,17 @@ fn opensparc_ladder_recovers_from_node_exhaustion() {
         .into_iter()
         .find(|e| e.name == "sparc_ifu_dec")
         .expect("Table 1 carries the OpenSPARC IFU decoder stand-in");
-    let nl = entry.build(lib);
-    let sta = Sta::new(&nl);
-    let delta = sta.critical_path_delay();
+    let nl = Arc::new(entry.build(lib));
+    let delta = Sta::new(&nl).critical_path_delay();
 
     // Unmanaged reference: unlimited budget, no GC. Its final node
     // count is what an append-only session needs for the full ladder;
     // its exports are the exactness bar (warm == cold is pinned by the
     // warm-session suite).
-    let mut ref_bdd = Bdd::new(nl.inputs().len());
-    let mut reference =
-        WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut ref_bdd, Budget::unlimited());
+    let mut reference = Session::new(Arc::clone(&nl));
     let mut ref_exports: Vec<Vec<(NetId, tm_logic::bdd::PortableBdd)>> = Vec::new();
     for frac in FRACTIONS {
-        let set = reference.retarget(delta * frac);
+        let set = retarget(&mut reference, Algorithm::ShortPath, delta * frac);
         ref_exports.push(
             set.outputs
                 .iter()
@@ -149,13 +150,11 @@ fn opensparc_ladder_recovers_from_node_exhaustion() {
     // live-before-point plus that point's allocations — exactly the
     // high-water a collect-and-retry of that point reaches — so its
     // maximum is what a collected session genuinely needs.
-    let mut probe_bdd = Bdd::new(nl.inputs().len());
-    let mut probe =
-        WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut probe_bdd, Budget::unlimited());
+    let mut probe = Session::new(Arc::clone(&nl));
     let mut managed_need = 0usize;
     for frac in FRACTIONS {
         probe.gc();
-        probe.retarget(delta * frac);
+        retarget(&mut probe, Algorithm::ShortPath, delta * frac);
         managed_need = managed_need.max(probe.bdd().node_count());
     }
 
@@ -170,11 +169,10 @@ fn opensparc_ladder_recovers_from_node_exhaustion() {
     );
     let budget = Budget::unlimited().with_max_bdd_nodes(budget_nodes as u64);
 
-    let mut bdd = Bdd::new(nl.inputs().len());
-    let mut session = WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut bdd, budget);
+    let mut session = Session::new(Arc::clone(&nl));
     for (k, &frac) in FRACTIONS.iter().enumerate() {
         let set = session
-            .try_retarget(delta * frac)
+            .compute(Algorithm::ShortPath, delta * frac, budget)
             .unwrap_or_else(|e| panic!("ladder point {frac} must recover via GC: {e}"));
         let exports: Vec<(NetId, tm_logic::bdd::PortableBdd)> = set
             .outputs

@@ -1,5 +1,5 @@
-//! Warm-session suite: retargeting one [`WarmSession`] down a
-//! descending Δ_y ladder must be a pure performance optimization.
+//! Warm-session suite: retargeting one [`Session`] down a descending
+//! Δ_y ladder must be a pure performance optimization.
 //!
 //! 1. **Warm == cold, bit for bit**: every ladder point of a warm
 //!    session produces the same critical-output list, the same
@@ -10,9 +10,9 @@
 //! 2. **Monotone containment**: for `Δ' ≥ Δ`, `Σ_y(Δ') ⊆ Σ_y(Δ)` and
 //!    the critical-output set only grows as the target descends — the
 //!    property the warm memo reuse relies on.
-//! 3. **Budget hygiene**: a session restores the manager's previous
-//!    budget on drop, and a budget-tripped retarget leaves the session
-//!    usable for the cold fallback path.
+//! 3. **Budget hygiene**: a query restores the manager's previous
+//!    budget when it returns, and a budget-tripped query leaves the
+//!    session usable.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -21,12 +21,17 @@ use tm_netlist::generate::{generate, GeneratorSpec};
 use tm_netlist::library::lsi10k_like;
 use tm_netlist::{NetId, Netlist};
 use tm_resilience::Budget;
-use tm_spcf::{spcf_with, Algorithm, SpcfOptions, WarmSession};
+use tm_spcf::{spcf_with, Algorithm, Session, SpcfOptions, SpcfSet};
 use tm_sta::Sta;
+
+/// One unlimited-budget query on a session.
+fn retarget(session: &mut Session, algorithm: Algorithm, target: tm_netlist::Delay) -> SpcfSet {
+    session.compute(algorithm, target, Budget::unlimited()).expect("unlimited budget")
+}
 
 /// Seeded 12-input netlists with several outputs each, sized so the
 /// short-path memo sees real sharing across targets.
-fn ladder_suite() -> Vec<Netlist> {
+fn ladder_suite() -> Vec<Arc<Netlist>> {
     let lib = Arc::new(lsi10k_like());
     (0..6u64)
         .map(|i| {
@@ -37,7 +42,7 @@ fn ladder_suite() -> Vec<Netlist> {
                 40 + 6 * i as usize,
             );
             spec.seed = 0x1ADDE12 + 101 * i;
-            generate(&spec, lib.clone())
+            Arc::new(generate(&spec, lib.clone()))
         })
         .collect()
 }
@@ -51,12 +56,10 @@ fn warm_retarget_matches_cold_runs_bit_for_bit() {
         let sta = Sta::new(&nl);
         let delta = sta.critical_path_delay();
         for algorithm in [Algorithm::ShortPath, Algorithm::PathBased, Algorithm::NodeBased] {
-            let mut warm_bdd = Bdd::new(nl.inputs().len());
-            let mut session =
-                WarmSession::new(algorithm, &nl, &sta, &mut warm_bdd, Budget::unlimited());
+            let mut session = Session::new(Arc::clone(&nl));
             for frac in FRACTIONS {
                 let target = delta * frac;
-                let warm = session.retarget(target);
+                let warm = retarget(&mut session, algorithm, target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
                 let cold = spcf_with(
@@ -85,7 +88,7 @@ fn warm_retarget_matches_cold_runs_bit_for_bit() {
                     );
                 }
             }
-            assert_eq!(session.retargets(), FRACTIONS.len() as u64);
+            assert_eq!(session.computes(), FRACTIONS.len() as u64);
         }
     }
 }
@@ -95,12 +98,10 @@ fn descending_ladder_is_monotone() {
     for nl in ladder_suite() {
         let sta = Sta::new(&nl);
         let delta = sta.critical_path_delay();
-        let mut bdd = Bdd::new(nl.inputs().len());
-        let mut session =
-            WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut bdd, Budget::unlimited());
+        let mut session = Session::new(Arc::clone(&nl));
         let mut prev: HashMap<NetId, tm_logic::bdd::BddRef> = HashMap::new();
         for frac in FRACTIONS {
-            let spcf = session.retarget(delta * frac);
+            let spcf = retarget(&mut session, Algorithm::ShortPath, delta * frac);
             let current: HashMap<_, _> =
                 spcf.outputs.iter().map(|o| (o.output, o.spcf)).collect();
             // Σ_y(Δ') ⊆ Σ_y(Δ) for Δ' ≥ Δ: every output critical at the
@@ -138,12 +139,10 @@ fn unsorted_ladder_matches_cold_runs_bit_for_bit() {
             Algorithm::NodeBased,
             Algorithm::Conservative,
         ] {
-            let mut warm_bdd = Bdd::new(nl.inputs().len());
-            let mut session =
-                WarmSession::new(algorithm, &nl, &sta, &mut warm_bdd, Budget::unlimited());
+            let mut session = Session::new(Arc::clone(&nl));
             for frac in unsorted {
                 let target = delta * frac;
-                let warm = session.retarget(target);
+                let warm = retarget(&mut session, algorithm, target);
 
                 let mut cold_bdd = Bdd::new(nl.inputs().len());
                 let cold = spcf_with(
@@ -187,18 +186,20 @@ fn warm_engine_over_memo_budget_retries_on_a_fresh_engine() {
     let delta = sta.critical_path_delay();
     let first: &[f64] = &[0.95, 0.9];
     let second: &[f64] = &[0.6, 0.55];
-    // Memo entries a short-path session holds after `ladders`, read off
-    // the gauge its engine publishes on drop.
+    // Memo entries a short-path session holds after `ladders`, read
+    // both from the session and off the gauge its engine publishes on
+    // drop.
     let memo_after = |ladders: &[&[f64]]| -> u64 {
         let _scope = tm_telemetry::Scope::enter();
-        let mut bdd = Bdd::new(nl.inputs().len());
-        let mut session =
-            WarmSession::new(Algorithm::ShortPath, nl, &sta, &mut bdd, Budget::unlimited());
+        let mut session = Session::new(Arc::clone(nl));
         for &frac in ladders.iter().copied().flatten() {
-            session.retarget(delta * frac);
+            retarget(&mut session, Algorithm::ShortPath, delta * frac);
         }
+        let entries = session.memo_entries();
         drop(session);
-        tm_telemetry::snapshot().gauge("spcf.short_path.memo_entries").expect("memo gauge") as u64
+        let gauge = tm_telemetry::snapshot().gauge("spcf.short_path.memo_entries");
+        assert_eq!(gauge, Some(entries as f64), "the dropped session published its memo");
+        entries
     };
     let fits_each = memo_after(&[first]).max(memo_after(&[second]));
     assert!(
@@ -208,12 +209,11 @@ fn warm_engine_over_memo_budget_retries_on_a_fresh_engine() {
 
     let _scope = tm_telemetry::Scope::enter();
     let budget = Budget::unlimited().with_max_memo_entries(fits_each);
-    let mut bdd = Bdd::new(nl.inputs().len());
-    let mut session = WarmSession::new(Algorithm::ShortPath, nl, &sta, &mut bdd, budget);
+    let mut session = Session::new(Arc::clone(nl));
     for &frac in first.iter().chain(second) {
         let target = delta * frac;
         let warm = session
-            .try_retarget(target)
+            .compute(Algorithm::ShortPath, target, budget)
             .unwrap_or_else(|e| panic!("@{frac}: a fresh engine fits this point: {e}"));
         let mut cold_bdd = Bdd::new(nl.inputs().len());
         let cold = spcf_with(
@@ -238,30 +238,31 @@ fn warm_engine_over_memo_budget_retries_on_a_fresh_engine() {
 #[test]
 fn warm_session_budget_hygiene() {
     let lib = Arc::new(lsi10k_like());
-    let nl = generate(&GeneratorSpec::sized("hygiene", 12, 3, 60), lib);
+    let nl = Arc::new(generate(&GeneratorSpec::sized("hygiene", 12, 3, 60), lib));
     let sta = Sta::new(&nl);
     let delta = sta.critical_path_delay();
 
-    let mut bdd = Bdd::new(nl.inputs().len());
+    let mut session = Session::new(Arc::clone(&nl));
     let outer = Budget::unlimited().with_max_steps(1 << 40);
-    bdd.set_budget(outer);
-    {
-        let tight = Budget::unlimited().with_max_bdd_nodes(8);
-        let mut session = WarmSession::new(Algorithm::ShortPath, &nl, &sta, &mut bdd, tight);
-        let err = session.try_retarget(delta * 0.55);
-        assert!(err.is_err(), "an 8-node budget cannot fit a 12-input SPCF");
-    }
-    // Drop restored the budget the caller had installed.
-    assert_eq!(bdd.budget(), outer);
+    session.bdd_mut().set_budget(outer);
+    let tight = Budget::unlimited().with_max_bdd_nodes(8);
+    let err = session.compute(Algorithm::ShortPath, delta * 0.55, tight);
+    assert!(err.is_err(), "an 8-node budget cannot fit a 12-input SPCF");
+    // The query restored the budget installed before it.
+    assert_eq!(session.bdd().budget(), outer);
 
-    // The same manager still works cold after the tripped session.
-    let spcf = spcf_with(
+    // The same session still works after the tripped query.
+    let spcf = retarget(&mut session, Algorithm::ShortPath, delta * 0.55);
+    assert!(!spcf.outputs.is_empty());
+
+    // ... and its manager still works cold.
+    let cold = spcf_with(
         Algorithm::ShortPath,
         &nl,
         &sta,
-        &mut bdd,
+        session.bdd_mut(),
         delta * 0.55,
         &SpcfOptions::default(),
     );
-    assert!(!spcf.outputs.is_empty());
+    assert!(!cold.outputs.is_empty());
 }

@@ -85,11 +85,11 @@ fn main() {
                     parsed.get(section).and_then(Json::as_arr).map_or(0, <[Json]>::len)
                 };
                 println!(
-                    "{path}: ok ({} spans, {} counters, {} gauges, {} histograms)",
+                    "{path}: ok ({} spans, {} counters, {} gauges, {} digests)",
                     n("spans"),
                     n("counters"),
                     n("gauges"),
-                    n("histograms"),
+                    n("digests"),
                 );
             }
             Err(errs) => {

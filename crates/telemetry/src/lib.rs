@@ -10,8 +10,8 @@
 //!   wall time hierarchically, so every span name accumulates call
 //!   count, *total* time (inclusive of children) and *self* time
 //!   (exclusive).
-//! - [`metrics`]: a registry of named counters, gauges, and
-//!   fixed-bucket histograms, plus [`snapshot`] → JSON reports.
+//! - [`metrics`]: a registry of named counters, gauges, and digests,
+//!   plus [`snapshot`] → JSON reports.
 //! - [`schema`]: the closed registry of metric, span, and flight-event
 //!   names used across the workspace, and a validator for emitted
 //!   reports (CI parses the report back with `tm_testkit::json` and
@@ -21,8 +21,8 @@
 //!   contexts, slow-request capture, and Chrome trace-event JSON
 //!   export (the `trace` verb and `tm_profile` in tm-server).
 //! - [`digest`]: exact-percentile latency digests (log-linear,
-//!   mergeable) for `serve.*` latency metrics where fixed 1–2–5
-//!   buckets are too coarse for SLO questions.
+//!   mergeable), the one distribution kind (serving and per-output
+//!   SPCF latencies).
 //!
 //! # Gating and the zero-overhead guarantee
 //!
@@ -63,8 +63,7 @@ pub mod span;
 
 pub use digest::Digest;
 pub use metrics::{
-    absorb, counter_add, digest_record, drain, gauge_set, histogram_record, reset, snapshot,
-    HistogramStat, Snapshot, SpanStat, BUCKET_BOUNDS,
+    absorb, counter_add, digest_record, drain, gauge_set, reset, snapshot, Snapshot, SpanStat,
 };
 
 use std::cell::Cell;
@@ -163,7 +162,7 @@ mod tests {
         set_thread_enabled(Some(false));
         counter_add("bdd.cache.hits", 5);
         gauge_set("bdd.nodes", 9.0);
-        histogram_record("spcf.short_path.output_ns", 100.0);
+        digest_record("spcf.short_path.output_ns", 100);
         let _span = crate::span!("spcf.short_path");
         drop(_span);
         let snap = snapshot();

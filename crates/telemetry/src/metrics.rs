@@ -1,12 +1,12 @@
-//! Named counters, gauges, and fixed-bucket histograms, with JSON
+//! Named counters, gauges, and exact-percentile digests, with JSON
 //! snapshots.
 //!
 //! Metric names are `&'static str` in `crate.subsystem.metric` form and
 //! must be registered in [`crate::schema`] — the CI validator fails on
 //! names it does not know, so adding a metric means adding it to the
 //! schema in the same change. The hot path allocates nothing in steady
-//! state: names are static, histogram buckets are a fixed array, and a
-//! disabled thread returns after one branch.
+//! state for counters and gauges (names are static), and a disabled
+//! thread returns after one branch.
 
 use crate::digest::Digest;
 use crate::span::SpanStat as SpanStatInner;
@@ -16,48 +16,12 @@ use tm_testkit::json::Json;
 
 pub use crate::span::SpanStat;
 
-/// Histogram bucket upper bounds: 1–2–5 per decade over nine decades.
-/// Values above the last bound land in an overflow bucket rendered with
-/// `"le": null` (+∞). One shared layout keeps snapshots comparable
-/// across metrics and runs.
-pub const BUCKET_BOUNDS: [f64; 28] = [
-    1.0, 2.0, 5.0, 1e1, 2e1, 5e1, 1e2, 2e2, 5e2, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5,
-    1e6, 2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9,
-];
-
-/// A fixed-bucket histogram: per-bucket counts plus total count and sum.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistogramStat {
-    /// Counts per bound of [`BUCKET_BOUNDS`] (`buckets[i]` counts
-    /// values `v ≤ BUCKET_BOUNDS[i]` not counted by an earlier bucket).
-    pub buckets: [u64; BUCKET_BOUNDS.len()],
-    /// Values above the last bound.
-    pub overflow: u64,
-    /// Total recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: f64,
-}
-
-impl HistogramStat {
-    /// Records one value into the matching bucket.
-    pub fn record(&mut self, v: f64) {
-        match BUCKET_BOUNDS.iter().position(|&b| v <= b) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.count = self.count.saturating_add(1);
-        self.sum += v;
-    }
-}
-
 /// One thread's metric state (spans live here too, so a [`crate::Scope`]
 /// swap isolates everything at once).
 #[derive(Debug, Default)]
 pub struct Registry {
     pub(crate) counters: HashMap<&'static str, u64>,
     pub(crate) gauges: HashMap<&'static str, f64>,
-    pub(crate) histograms: HashMap<&'static str, HistogramStat>,
     pub(crate) digests: HashMap<&'static str, Digest>,
     pub(crate) spans: HashMap<&'static str, SpanStatInner>,
 }
@@ -101,16 +65,6 @@ pub fn gauge_set(name: &'static str, v: f64) {
     });
 }
 
-/// Records `v` into the histogram `name`. No-op while collection is
-/// disabled on this thread.
-#[inline]
-pub fn histogram_record(name: &'static str, v: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    with_registry(|r| r.histograms.entry(name).or_default().record(v));
-}
-
 /// Records `v` (a nanosecond latency or similar `u64` measure) into
 /// the exact-percentile digest `name`. No-op while collection is
 /// disabled on this thread.
@@ -140,7 +94,7 @@ pub fn drain() -> Snapshot {
 
 /// Folds a drained worker [`Snapshot`] into the current thread's
 /// registry: counters add (saturating), gauges keep the incoming value
-/// (last write wins, and the worker finished last), histograms add
+/// (last write wins, and the worker finished last), digests add
 /// bucket-wise, spans add calls and times.
 ///
 /// Names are resolved against the closed [`crate::schema`] registry —
@@ -167,17 +121,6 @@ pub fn absorb(snap: &Snapshot) {
         for (name, v) in &snap.gauges {
             if let Some(key) = static_metric(name) {
                 r.gauges.insert(key, *v);
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(key) = static_metric(name) {
-                let into = r.histograms.entry(key).or_default();
-                for (b, add) in into.buckets.iter_mut().zip(&h.buckets) {
-                    *b = b.saturating_add(*add);
-                }
-                into.overflow = into.overflow.saturating_add(h.overflow);
-                into.count = into.count.saturating_add(h.count);
-                into.sum += h.sum;
             }
         }
         for (name, d) in &snap.digests {
@@ -207,8 +150,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauges.
     pub gauges: Vec<(String, f64)>,
-    /// `(name, stat)` histograms.
-    pub histograms: Vec<(String, HistogramStat)>,
     /// `(name, digest)` exact-percentile digests.
     pub digests: Vec<(String, Digest)>,
     /// Aggregated span statistics.
@@ -220,7 +161,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
-            && self.histograms.is_empty()
             && self.digests.is_empty()
             && self.spans.is_empty()
     }
@@ -235,11 +175,6 @@ impl Snapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// The stats of a histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramStat> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
     /// The stats of an exact-percentile digest, if recorded.
     pub fn digest(&self, name: &str) -> Option<&Digest> {
         self.digests.iter().find(|(n, _)| n == name).map(|(_, d)| d)
@@ -252,7 +187,7 @@ impl Snapshot {
 
     /// Folds another snapshot into this one, registry-free: counters
     /// add (saturating), gauges keep the incoming value (last write
-    /// wins), histograms add bucket-wise, spans add calls and times.
+    /// wins), digests add bucket-wise, spans add calls and times.
     /// Name order stays sorted, so rendering stays deterministic.
     ///
     /// This is the aggregation primitive for long-running processes
@@ -271,20 +206,6 @@ impl Snapshot {
             match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
                 Ok(i) => self.gauges[i].1 = *v,
                 Err(i) => self.gauges.insert(i, (name.clone(), *v)),
-            }
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(i) => {
-                    let into = &mut self.histograms[i].1;
-                    for (b, add) in into.buckets.iter_mut().zip(&h.buckets) {
-                        *b = b.saturating_add(*add);
-                    }
-                    into.overflow = into.overflow.saturating_add(h.overflow);
-                    into.count = into.count.saturating_add(h.count);
-                    into.sum += h.sum;
-                }
-                Err(i) => self.histograms.insert(i, (name.clone(), h.clone())),
             }
         }
         for (name, d) in &other.digests {
@@ -333,39 +254,12 @@ impl Snapshot {
             .iter()
             .map(|(n, v)| Json::obj([("name", Json::str(n.clone())), ("value", Json::Num(*v))]))
             .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let mut buckets: Vec<Json> = BUCKET_BOUNDS
-                    .iter()
-                    .zip(&h.buckets)
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(&le, &c)| {
-                        Json::obj([("le", Json::Num(le)), ("count", Json::Num(c as f64))])
-                    })
-                    .collect();
-                if h.overflow > 0 {
-                    buckets.push(Json::obj([
-                        ("le", Json::Null),
-                        ("count", Json::Num(h.overflow as f64)),
-                    ]));
-                }
-                Json::obj([
-                    ("name", Json::str(n.clone())),
-                    ("count", Json::Num(h.count as f64)),
-                    ("sum", Json::Num(h.sum)),
-                    ("buckets", Json::Arr(buckets)),
-                ])
-            })
-            .collect();
         let digests = self.digests.iter().map(|(n, d)| d.to_json(n)).collect();
         Json::obj([
             ("schema_version", Json::Num(crate::schema::SCHEMA_VERSION as f64)),
             ("spans", Json::Arr(spans)),
             ("counters", Json::Arr(counters)),
             ("gauges", Json::Arr(gauges)),
-            ("histograms", Json::Arr(histograms)),
             ("digests", Json::Arr(digests)),
         ])
     }
@@ -382,15 +276,12 @@ pub fn snapshot() -> Snapshot {
         let mut gauges: Vec<(String, f64)> =
             r.gauges.iter().map(|(n, v)| (n.to_string(), *v)).collect();
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<(String, HistogramStat)> =
-            r.histograms.iter().map(|(n, h)| (n.to_string(), h.clone())).collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         let mut digests: Vec<(String, Digest)> =
             r.digests.iter().map(|(n, d)| (n.to_string(), d.clone())).collect();
         digests.sort_by(|a, b| a.0.cmp(&b.0));
         let mut spans: Vec<SpanStat> = r.spans.values().cloned().collect();
         spans.sort_by(|a, b| a.name.cmp(&b.name));
-        Snapshot { counters, gauges, histograms, digests, spans }
+        Snapshot { counters, gauges, digests, spans }
     })
 }
 
@@ -422,25 +313,25 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_boundaries_are_inclusive() {
+    fn digest_records_count_sum_and_exact_extremes() {
         let _scope = Scope::enter();
-        // Exactly on a bound → that bucket; just above → the next.
-        histogram_record("spcf.short_path.output_ns", 1.0);
-        histogram_record("spcf.short_path.output_ns", 1.5);
-        histogram_record("spcf.short_path.output_ns", 2.0);
-        histogram_record("spcf.short_path.output_ns", 2.0001);
-        histogram_record("spcf.short_path.output_ns", 1e9);
-        histogram_record("spcf.short_path.output_ns", 1e9 + 1.0);
+        // Below 128 every value has its own bucket; above, extremes
+        // are still tracked exactly.
+        digest_record("spcf.short_path.output_ns", 1);
+        digest_record("spcf.short_path.output_ns", 2);
+        digest_record("spcf.short_path.output_ns", 2);
+        digest_record("spcf.short_path.output_ns", 3);
+        digest_record("spcf.short_path.output_ns", 1_000_000_000);
+        digest_record("spcf.short_path.output_ns", 1_000_000_001);
         let snap = snapshot();
-        let h = snap.histogram("spcf.short_path.output_ns").expect("recorded");
-        assert_eq!(h.buckets[0], 1, "v=1.0 lands in le=1");
-        assert_eq!(h.buckets[1], 2, "v=1.5 and v=2.0 land in le=2");
-        assert_eq!(h.buckets[2], 1, "v=2.0001 lands in le=5");
-        assert_eq!(h.buckets[BUCKET_BOUNDS.len() - 1], 1, "v=1e9 lands in the last bucket");
-        assert_eq!(h.overflow, 1, "v>1e9 lands in the overflow bucket");
-        assert_eq!(h.count, 6);
-        let expect_sum = 1.0 + 1.5 + 2.0 + 2.0001 + 1e9 + (1e9 + 1.0);
-        assert!((h.sum - expect_sum).abs() < 1e-6);
+        let d = snap.digest("spcf.short_path.output_ns").expect("recorded");
+        assert_eq!(d.buckets.get(&crate::digest::bucket_index(1)), Some(&1), "v=1 alone");
+        assert_eq!(d.buckets.get(&crate::digest::bucket_index(2)), Some(&2), "both v=2");
+        assert_eq!(d.buckets.get(&crate::digest::bucket_index(3)), Some(&1), "v=3 alone");
+        assert_eq!((d.min, d.max), (1, 1_000_000_001), "extremes are exact");
+        assert_eq!(d.count, 6);
+        let expect_sum = 1.0 + 2.0 + 2.0 + 3.0 + 1e9 + (1e9 + 1.0);
+        assert!((d.sum - expect_sum).abs() < 1e-6);
     }
 
     #[test]
@@ -466,7 +357,7 @@ mod tests {
         let _scope = Scope::enter();
         counter_add("spcf.short_path.stab_calls", 3);
         gauge_set("bdd.nodes", 5.0);
-        histogram_record("spcf.short_path.output_ns", 3.0);
+        digest_record("spcf.short_path.output_ns", 3);
         {
             let _span = crate::span!("spcf.short_path");
         }
@@ -476,10 +367,10 @@ mod tests {
         worker.counters.push(("spcf.short_path.stab_calls".to_string(), 4));
         worker.counters.push(("not.registered".to_string(), 99));
         worker.gauges.push(("bdd.nodes".to_string(), 9.0));
-        let mut h = HistogramStat::default();
-        h.record(1.5);
-        h.record(2e12);
-        worker.histograms.push(("spcf.short_path.output_ns".to_string(), h));
+        let mut d = Digest::default();
+        d.record(1);
+        d.record(2_000_000_000_000);
+        worker.digests.push(("spcf.short_path.output_ns".to_string(), d));
         worker.spans.push(SpanStat {
             name: "spcf.short_path".to_string(),
             calls: 2,
@@ -492,9 +383,9 @@ mod tests {
         assert_eq!(snap.counter("spcf.short_path.stab_calls"), Some(7));
         assert_eq!(snap.counter("not.registered"), None, "unknown names are dropped");
         assert_eq!(snap.gauge("bdd.nodes"), Some(9.0), "worker gauge wins");
-        let merged = snap.histogram("spcf.short_path.output_ns").expect("merged");
+        let merged = snap.digest("spcf.short_path.output_ns").expect("merged");
         assert_eq!(merged.count, 3);
-        assert_eq!(merged.overflow, 1);
+        assert_eq!((merged.min, merged.max), (1, 2_000_000_000_000));
         let span = snap.span("spcf.short_path").expect("merged span");
         assert_eq!(span.calls, 3);
         assert!(span.total_ns >= 100, "worker time folded in: {span:?}");
@@ -507,9 +398,9 @@ mod tests {
         let mut a = Snapshot::default();
         a.counters.push(("serve.requests".to_string(), 2));
         a.gauges.push(("serve.pool.sessions".to_string(), 1.0));
-        let mut h = HistogramStat::default();
-        h.record(3.0);
-        a.histograms.push(("spcf.short_path.output_ns".to_string(), h));
+        let mut h = Digest::default();
+        h.record(3);
+        a.digests.push(("spcf.short_path.output_ns".to_string(), h));
         let mut d = Digest::default();
         d.record(3);
         a.digests.push(("serve.request_ns".to_string(), d));
@@ -523,9 +414,9 @@ mod tests {
         b.counters.push(("serve.pool.hits".to_string(), 1));
         b.counters.push(("serve.requests".to_string(), 3));
         b.gauges.push(("serve.pool.sessions".to_string(), 4.0));
-        let mut h2 = HistogramStat::default();
-        h2.record(2e12);
-        b.histograms.push(("spcf.short_path.output_ns".to_string(), h2));
+        let mut h2 = Digest::default();
+        h2.record(2_000_000_000_000);
+        b.digests.push(("spcf.short_path.output_ns".to_string(), h2));
         let mut d2 = Digest::default();
         d2.record(2_000_000_000_000);
         b.digests.push(("serve.request_ns".to_string(), d2));
@@ -542,9 +433,9 @@ mod tests {
         let names: Vec<&str> = agg.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["serve.pool.hits", "serve.requests"], "sorted after merge");
         assert_eq!(agg.gauge("serve.pool.sessions"), Some(4.0), "last write wins");
-        let merged = agg.histogram("spcf.short_path.output_ns").expect("merged");
+        let merged = agg.digest("spcf.short_path.output_ns").expect("merged");
         assert_eq!(merged.count, 2);
-        assert_eq!(merged.overflow, 1);
+        assert_eq!((merged.min, merged.max), (3, 2_000_000_000_000));
         let digest = agg.digest("serve.request_ns").expect("merged digest");
         assert_eq!(digest.count, 2);
         assert_eq!(digest.min, 3);
@@ -591,8 +482,8 @@ mod tests {
         let _scope = Scope::enter();
         counter_add("bdd.unique.hits", 41);
         gauge_set("spcf.short_path.memo_entries", 12.0);
-        histogram_record("spcf.path_based.output_ns", 1234.0);
-        histogram_record("spcf.path_based.output_ns", 2e12); // overflow
+        digest_record("spcf.path_based.output_ns", 1234);
+        digest_record("spcf.path_based.output_ns", 2_000_000_000_000);
         {
             let _outer = crate::span!("masking.synthesize");
             let _inner = crate::span!("masking.spcf");
@@ -604,8 +495,7 @@ mod tests {
         let counters = parsed.get("counters").and_then(Json::as_arr).expect("counters");
         assert_eq!(counters[0].get("name").and_then(Json::as_str), Some("bdd.unique.hits"));
         assert_eq!(counters[0].get("value").and_then(Json::as_num), Some(41.0));
-        let hists = parsed.get("histograms").and_then(Json::as_arr).expect("histograms");
-        let buckets = hists[0].get("buckets").and_then(Json::as_arr).expect("buckets");
-        assert_eq!(buckets.last().and_then(|b| b.get("le")), Some(&Json::Null));
+        let digests = parsed.get("digests").and_then(Json::as_arr).expect("digests");
+        assert_eq!(digests[0].get("max").and_then(Json::as_num), Some(2e12));
     }
 }

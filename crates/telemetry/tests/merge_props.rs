@@ -17,13 +17,17 @@
 //! rounding.
 
 use tm_telemetry::digest::Digest;
-use tm_telemetry::{HistogramStat, Snapshot, SpanStat};
+use tm_telemetry::{Snapshot, SpanStat};
 use tm_testkit::prop::{self, Config, Gen};
 
 const COUNTER_NAMES: &[&str] = &["serve.requests", "serve.pool.hits", "bdd.cache.hits"];
 const GAUGE_NAMES: &[&str] = &["serve.pool.sessions", "bdd.nodes"];
-const HISTOGRAM_NAMES: &[&str] = &["spcf.short_path.output_ns", "spcf.path_based.output_ns"];
-const DIGEST_NAMES: &[&str] = &["serve.request_ns", "serve.queue_ns"];
+const DIGEST_NAMES: &[&str] = &[
+    "serve.request_ns",
+    "serve.queue_ns",
+    "spcf.short_path.output_ns",
+    "spcf.path_based.output_ns",
+];
 const SPAN_NAMES: &[&str] = &["serve.request", "spcf.short_path"];
 
 fn gen_snapshot(g: &mut Gen, with_gauges: bool) -> Snapshot {
@@ -38,15 +42,6 @@ fn gen_snapshot(g: &mut Gen, with_gauges: bool) -> Snapshot {
             if g.next_bool() {
                 s.gauges.push((name.to_string(), g.gen_range(0..1000u64) as f64));
             }
-        }
-    }
-    for name in HISTOGRAM_NAMES {
-        if g.next_bool() {
-            let mut h = HistogramStat::default();
-            for _ in 0..g.gen_range(1..6usize) {
-                h.record(g.gen_range(0..2_000_000u64) as f64);
-            }
-            s.histograms.push((name.to_string(), h));
         }
     }
     for name in DIGEST_NAMES {
@@ -73,7 +68,6 @@ fn gen_snapshot(g: &mut Gen, with_gauges: bool) -> Snapshot {
     // preserves order) — generated ones must satisfy the same invariant.
     s.counters.sort_by(|a, b| a.0.cmp(&b.0));
     s.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    s.histograms.sort_by(|a, b| a.0.cmp(&b.0));
     s.digests.sort_by(|a, b| a.0.cmp(&b.0));
     s.spans.sort_by(|a, b| a.name.cmp(&b.name));
     s

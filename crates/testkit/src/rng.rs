@@ -23,7 +23,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 /// distinct streams can never collide structurally the way ad-hoc
 /// `seed ^ constant` derivations can. The fault plane seeds per-site
 /// generators as `seed ^ fnv1a64(site_name)`; the fleet simulator
-/// seeds per-chip trajectories as `seed ^ fnv1a64(chip_id)`.
+/// seeds per-chip trajectories as `seed ^ fnv1a64(chip_id)`. The
+/// serving pool also keys sessions by `fnv1a64(canonical BLIF)`.
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

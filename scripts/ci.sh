@@ -8,7 +8,7 @@
 #    tree compiles and passes with no network and no registry cache.
 # 3. Smoke-run the SPCF bench with telemetry enabled and validate the
 #    emitted metrics snapshot against the closed schema registry
-#    (unknown metric names, malformed histograms, or a schema-version
+#    (unknown metric names, malformed digests, or a schema-version
 #    bump all fail CI here, not in a downstream dashboard).
 # 4. Panic audit (DESIGN.md §7): non-test library code may only contain
 #    panic-capable calls (`unwrap()`, `expect(`, `panic!(`) in files
