@@ -7,9 +7,11 @@
 //! - [`cube`]: product terms over ≤ 64 variables — the unit of the
 //!   paper's essential-weight cover selection.
 //! - [`sop`]: ordered sum-of-products covers.
-//! - [`tt`]: dense truth tables for node-local functions (≤ 20 inputs).
-//! - [`qm`]: Quine–McCluskey prime implicant generation and two-level
-//!   cover minimization (exact primes, greedy covering).
+//! - [`tt`]: dense word-packed truth tables for node-local functions
+//!   (≤ 20 inputs), with word-level cofactors, swaps and cube ops.
+//! - [`qm`]: exact prime implicant generation (recursive Shannon
+//!   cofactoring) and two-level cover minimization (bitset greedy
+//!   covering).
 //! - [`bdd`]: an ROBDD manager for global functions over all primary
 //!   inputs — speed-path characteristic functions routinely have 10¹⁰⁰⁺
 //!   satisfying patterns, which BDDs represent and count exactly.

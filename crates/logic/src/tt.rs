@@ -51,12 +51,66 @@ fn word_count(num_vars: usize) -> usize {
 
 /// Mask of valid bits in the (single) word of a table with fewer than six
 /// variables.
-fn tail_mask(num_vars: usize) -> u64 {
+pub(crate) fn tail_mask(num_vars: usize) -> u64 {
     if num_vars >= 6 {
         u64::MAX
     } else {
         (1u64 << (1 << num_vars)) - 1
     }
+}
+
+/// In-word projection patterns: bit `b` of `VAR_MASKS[v]` is bit `v` of
+/// `b`, so variable `v < 6` is the same pattern in every word.
+const VAR_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The minterms of a cube inside one 64-bit word: the AND of its literals
+/// on variables 0–5 (literals on higher variables select words instead).
+pub(crate) fn cube_word(cube: &Cube) -> u64 {
+    let mut pattern = u64::MAX;
+    for (v, &var_mask) in VAR_MASKS.iter().enumerate() {
+        match cube.literal(v) {
+            Some(true) => pattern &= var_mask,
+            Some(false) => pattern &= !var_mask,
+            None => {}
+        }
+    }
+    pattern
+}
+
+/// Indices of the words of a `word_count`-word table that meet the
+/// cube's literals on variables ≥ 6, ascending (a subset walk over the
+/// free word-index bits).
+pub(crate) fn cube_words(cube: &Cube, word_count: usize) -> impl Iterator<Item = usize> {
+    let index_bits = word_count as u64 - 1;
+    let bound = (cube.mask() >> 6) & index_bits;
+    let base = (cube.value() >> 6) & bound;
+    let free = index_bits & !bound;
+    std::iter::successors(Some(0u64), move |&sub| {
+        (sub != free).then(|| sub.wrapping_sub(free) & free)
+    })
+    .map(move |sub| (base | sub) as usize)
+}
+
+/// The cube with literals on variables `>= num_vars` dropped.
+fn clip(cube: &Cube, num_vars: usize) -> Cube {
+    let live = (1u64 << num_vars) - 1;
+    Cube::from_masks(cube.mask() & live, cube.value())
+}
+
+/// Whether the table held in `words` (over `num_vars` inputs) contains
+/// every minterm of `cube`; literals on variables `>= num_vars` are
+/// ignored.
+pub(crate) fn words_cover_cube(words: &[u64], num_vars: usize, cube: &Cube) -> bool {
+    let cube = clip(cube, num_vars);
+    let pattern = cube_word(&cube) & tail_mask(num_vars);
+    cube_words(&cube, words.len()).all(|i| words[i] & pattern == pattern)
 }
 
 impl TruthTable {
@@ -89,24 +143,14 @@ impl TruthTable {
         assert!(var < num_vars, "variable {var} out of range {num_vars}");
         let mut t = Self::zero(num_vars);
         if var < 6 {
-            // Pattern within each word.
-            let stride = 1u32 << var;
-            let mut pattern = 0u64;
-            let mut bit = 0u32;
-            while bit < 64 {
-                if (bit / stride) & 1 == 1 {
-                    pattern |= 1u64 << bit;
-                }
-                bit += 1;
-            }
             for w in &mut t.words {
-                *w = pattern;
+                *w = VAR_MASKS[var];
             }
         } else {
             // Whole words alternate.
             let stride = 1usize << (var - 6);
             for (i, w) in t.words.iter_mut().enumerate() {
-                if (i / stride) & 1 == 1 {
+                if i & stride != 0 {
                     *w = u64::MAX;
                 }
             }
@@ -150,6 +194,13 @@ impl TruthTable {
         1u64 << self.num_vars
     }
 
+    /// The packed table: bit `m & 63` of word `m >> 6` is the value on
+    /// minterm `m`. Tables with fewer than six inputs use the low
+    /// `2^num_vars` bits of one word; the rest are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Evaluates the function on a minterm.
     pub fn eval(&self, minterm: u64) -> bool {
         let word = (minterm >> 6) as usize;
@@ -173,21 +224,13 @@ impl TruthTable {
         }
     }
 
-    /// ORs all minterms of a cube into the table.
+    /// ORs all minterms of a cube into the table. Literals on variables
+    /// `>= num_vars` are ignored.
     pub fn or_cube(&mut self, cube: &Cube) {
-        // Enumerate the cube's minterms by iterating assignments of free
-        // variables. Fast path for small tables.
-        let n = self.num_vars;
-        let free_mask = !cube.mask() & ((1u64 << n) - 1);
-        let base = cube.value() & ((1u64 << n) - 1);
-        // Iterate subsets of free_mask via the standard subset-walk trick.
-        let mut sub = 0u64;
-        loop {
-            self.set(base | sub, true);
-            if sub == free_mask {
-                break;
-            }
-            sub = (sub.wrapping_sub(free_mask)) & free_mask;
+        let cube = clip(cube, self.num_vars);
+        let pattern = cube_word(&cube) & tail_mask(self.num_vars);
+        for i in cube_words(&cube, self.words.len()) {
+            self.words[i] |= pattern;
         }
     }
 
@@ -203,48 +246,77 @@ impl TruthTable {
 
     /// Whether the function is constant true.
     pub fn is_one(&self) -> bool {
-        self.count_ones() == self.num_minterms()
+        let tail = tail_mask(self.num_vars);
+        self.words.iter().all(|&w| w == tail)
     }
 
-    /// Whether the cube lies entirely inside the on-set.
+    /// Whether the cube lies entirely inside the on-set. Literals on
+    /// variables `>= num_vars` are ignored.
     pub fn covers_cube(&self, cube: &Cube) -> bool {
-        let n = self.num_vars;
-        let free_mask = !cube.mask() & ((1u64 << n) - 1);
-        let base = cube.value() & ((1u64 << n) - 1);
-        let mut sub = 0u64;
-        loop {
-            if !self.eval(base | sub) {
-                return false;
-            }
-            if sub == free_mask {
-                return true;
-            }
-            sub = (sub.wrapping_sub(free_mask)) & free_mask;
-        }
+        words_cover_cube(&self.words, self.num_vars, cube)
     }
 
     /// Iterates the on-set minterms in ascending order.
     pub fn minterms(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.num_minterms()).filter(move |&m| self.eval(m))
+        self.words.iter().enumerate().flat_map(|(i, &w)| {
+            let base = (i as u64) << 6;
+            std::iter::successors((w != 0).then_some(w), |&rest| {
+                let next = rest & (rest - 1);
+                (next != 0).then_some(next)
+            })
+            .map(move |rest| base | u64::from(rest.trailing_zeros()))
+        })
     }
 
-    /// The positive cofactor with respect to `var` (a function of the same
+    /// The cofactor with respect to `var = value` (a function of the same
     /// arity; `var` becomes irrelevant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn cofactor(&self, var: usize, value: bool) -> Self {
-        let mut out = Self::zero(self.num_vars);
-        let bit = 1u64 << var;
-        for m in 0..self.num_minterms() {
-            let src = if value { m | bit } else { m & !bit };
-            if self.eval(src) {
-                out.set(m, true);
+        assert!(var < self.num_vars, "variable {var} out of range {}", self.num_vars);
+        let mut out = self.clone();
+        if var < 6 {
+            let shift = 1u32 << var;
+            let high = VAR_MASKS[var];
+            for w in &mut out.words {
+                *w = if value {
+                    let h = *w & high;
+                    h | (h >> shift)
+                } else {
+                    let l = *w & !high;
+                    l | (l << shift)
+                };
+            }
+        } else {
+            let stride = 1usize << (var - 6);
+            for i in (0..out.words.len()).filter(|i| i & stride == 0) {
+                let w = out.words[if value { i | stride } else { i }];
+                out.words[i] = w;
+                out.words[i | stride] = w;
             }
         }
         out
     }
 
     /// Whether the function actually depends on `var`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor(var, false) != self.cofactor(var, true)
+        assert!(var < self.num_vars, "variable {var} out of range {}", self.num_vars);
+        if var < 6 {
+            let shift = 1u32 << var;
+            let low = !VAR_MASKS[var];
+            self.words.iter().any(|&w| ((w >> shift) ^ w) & low != 0)
+        } else {
+            let stride = 1usize << (var - 6);
+            (0..self.words.len())
+                .filter(|i| i & stride == 0)
+                .any(|i| self.words[i] != self.words[i | stride])
+        }
     }
 
     /// The support: variables the function depends on.
@@ -252,12 +324,115 @@ impl TruthTable {
         (0..self.num_vars).filter(|&v| self.depends_on(v)).collect()
     }
 
-    fn canonicalize(&mut self) {
-        let m = tail_mask(self.num_vars);
-        if let Some(last) = self.words.last_mut() {
-            if self.num_vars < 6 {
-                *last &= m;
+    /// Exchanges variables `a` and `b` (both `< num_vars`): the result on
+    /// minterm `m` is the function on `m` with bits `a` and `b` swapped.
+    fn swap_vars(&mut self, a: usize, b: usize) {
+        let (a, b) = (a.min(b), a.max(b));
+        if a == b {
+            return;
+        }
+        if b < 6 {
+            // Delta swap: bits with a=1,b=0 trade places with a=0,b=1.
+            let shift = (1u32 << b) - (1u32 << a);
+            let sel = VAR_MASKS[a] & !VAR_MASKS[b];
+            for w in &mut self.words {
+                let t = ((*w >> shift) ^ *w) & sel;
+                *w ^= t ^ (t << shift);
             }
+        } else if a < 6 {
+            // Word i has b=0, word i|stride has b=1: trade the a=1 half of
+            // the first with the a=0 half of the second.
+            let shift = 1u32 << a;
+            let high = VAR_MASKS[a];
+            let stride = 1usize << (b - 6);
+            for i in (0..self.words.len()).filter(|i| i & stride == 0) {
+                let (lo, hi) = (self.words[i], self.words[i | stride]);
+                self.words[i] = (lo & !high) | ((hi & !high) << shift);
+                self.words[i | stride] = (hi & high) | ((lo & high) >> shift);
+            }
+        } else {
+            let (sa, sb) = (1usize << (a - 6), 1usize << (b - 6));
+            for i in (0..self.words.len()).filter(|i| i & sa != 0 && i & sb == 0) {
+                self.words.swap(i, i ^ sa ^ sb);
+            }
+        }
+    }
+
+    /// Moves each listed variable `v` to position `to` by variable swaps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable or a target repeats or is out of range.
+    fn move_vars(&mut self, moves: impl Iterator<Item = (usize, usize)>) {
+        // at[p]: original variable now at position p; pos is its inverse.
+        let mut at: Vec<usize> = (0..self.num_vars).collect();
+        let mut pos = at.clone();
+        let (mut moved, mut taken) = (vec![false; self.num_vars], vec![false; self.num_vars]);
+        for (v, to) in moves {
+            assert!(v < self.num_vars && to < self.num_vars, "variable out of range");
+            assert!(!moved[v] && !taken[to], "variable {v} or target {to} repeated");
+            moved[v] = true;
+            taken[to] = true;
+            let from = pos[v];
+            if from != to {
+                self.swap_vars(from, to);
+                let displaced = at[to];
+                at.swap(from, to);
+                pos[v] = to;
+                pos[displaced] = from;
+            }
+        }
+    }
+
+    /// The same function over `num_vars` inputs with variable `i`
+    /// renamed to `map[i]`; the result does not depend on the new
+    /// variables outside `map`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `map` does not have one distinct target below
+    /// `num_vars` per variable, or if `num_vars > MAX_TT_VARS`.
+    pub fn expand(&self, num_vars: usize, map: &[usize]) -> Self {
+        assert_eq!(map.len(), self.num_vars, "one target per variable");
+        let mut out = Self::zero(num_vars);
+        if self.num_vars < 6 {
+            // Replicate the pattern over the new low variables.
+            let mut w = self.words[0];
+            for v in self.num_vars..num_vars.min(6) {
+                w |= w << (1u32 << v);
+            }
+            out.words.iter_mut().for_each(|o| *o = w);
+        } else {
+            let len = self.words.len();
+            for (i, o) in out.words.iter_mut().enumerate() {
+                *o = self.words[i % len];
+            }
+        }
+        out.move_vars(map.iter().copied().enumerate());
+        out
+    }
+
+    /// The function restricted to the listed variables: variable `j` of
+    /// the result is variable `vars[j]` of `self`, and every unlisted
+    /// variable is fixed to 0. When the function does not depend on the
+    /// unlisted variables, this is the same function on fewer inputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed variable is out of range or repeated.
+    pub fn project(&self, vars: &[usize]) -> Self {
+        let mut moved = self.clone();
+        moved.move_vars(vars.iter().enumerate().map(|(j, &v)| (v, j)));
+        let mut out = Self::zero(vars.len());
+        let len = out.words.len();
+        out.words.copy_from_slice(&moved.words[..len]);
+        out.canonicalize();
+        out
+    }
+
+    fn canonicalize(&mut self) {
+        if self.num_vars < 6 {
+            self.words[0] &= tail_mask(self.num_vars);
         }
     }
 }

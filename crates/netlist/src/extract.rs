@@ -103,15 +103,20 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
                 }
             }
         }
-        let tt = TruthTable::from_fn(boundary.len(), |m| {
-            let mut pins = 0u64;
-            for (pin, &pos) in pin_to_pos.iter().enumerate() {
-                if (m >> pos) & 1 == 1 {
-                    pins |= 1 << pin;
-                }
+        // A pin reading the same net as an earlier pin becomes a copy of
+        // that pin's variable and is dropped; the last pins go first so
+        // earlier pin indices stay put. The surviving first-occurrence
+        // pins are in boundary order.
+        let mut tt = cell.function().clone();
+        for (pin, &pos) in pin_to_pos.iter().enumerate().rev() {
+            let first = pin_to_pos.iter().position(|&p| p == pos).unwrap_or(pin);
+            if first < pin {
+                let x = TruthTable::var(tt.num_vars(), first);
+                let copied = &(&x & &tt.cofactor(pin, true)) | &(&!&x & &tt.cofactor(pin, false));
+                let rest: Vec<usize> = (0..tt.num_vars()).filter(|&v| v != pin).collect();
+                tt = copied.project(&rest);
             }
-            cell.function().eval(pins)
-        });
+        }
         let mut cluster = Cluster { boundary, tt };
 
         // Greedy inlining: repeatedly absorb an eligible boundary net.
@@ -142,42 +147,16 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
                 if merged.len() > k {
                     continue;
                 }
-                // Positions of the outer boundary nets inside `merged`.
-                let outer_pos_map: Vec<usize> = cluster
-                    .boundary
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &ob)| {
-                        if i == pos {
-                            usize::MAX // replaced by inner function
-                        } else {
-                            merged.iter().position(|&b| b == ob).expect("kept net")
-                        }
-                    })
-                    .collect();
-                let inner_tt = inner.tt.clone();
-                let outer_tt = cluster.tt.clone();
-                let new_tt = TruthTable::from_fn(merged.len(), |m| {
-                    let mut inner_m = 0u64;
-                    for (ip, &mp) in inner_pos_map.iter().enumerate() {
-                        if (m >> mp) & 1 == 1 {
-                            inner_m |= 1 << ip;
-                        }
-                    }
-                    let inner_val = inner_tt.eval(inner_m);
-                    let mut outer_m = 0u64;
-                    for (op, &mp) in outer_pos_map.iter().enumerate() {
-                        let bit = if mp == usize::MAX {
-                            inner_val
-                        } else {
-                            (m >> mp) & 1 == 1
-                        };
-                        if bit {
-                            outer_m |= 1 << op;
-                        }
-                    }
-                    outer_tt.eval(outer_m)
-                });
+                // `merged` keeps the outer boundary minus `pos` in order,
+                // then appends the inner nets it lacked: compose as
+                // inner ? outer|pos=1 : outer|pos=0 over `merged`.
+                let rest: Vec<usize> = (0..cluster.boundary.len()).filter(|&v| v != pos).collect();
+                let identity: Vec<usize> = (0..rest.len()).collect();
+                let outer_with = |value: bool| {
+                    cluster.tt.cofactor(pos, value).project(&rest).expand(merged.len(), &identity)
+                };
+                let sel = inner.tt.expand(merged.len(), &inner_pos_map);
+                let new_tt = &(&sel & &outer_with(true)) | &(&!&sel & &outer_with(false));
                 cluster = Cluster { boundary: merged, tt: new_tt };
                 absorbed = true;
                 break;
@@ -191,15 +170,7 @@ pub fn extract(netlist: &Netlist, options: ExtractOptions) -> SopNetwork {
         let support = cluster.tt.support();
         if support.len() != cluster.boundary.len() {
             let kept: Vec<NetId> = support.iter().map(|&p| cluster.boundary[p]).collect();
-            let tt = TruthTable::from_fn(kept.len(), |m| {
-                let mut full = 0u64;
-                for (new_pos, &old_pos) in support.iter().enumerate() {
-                    if (m >> new_pos) & 1 == 1 {
-                        full |= 1 << old_pos;
-                    }
-                }
-                cluster.tt.eval(full)
-            });
+            let tt = cluster.tt.project(&support);
             cluster = Cluster { boundary: kept, tt };
         }
 
@@ -346,6 +317,36 @@ mod tests {
         equivalent(&nl, &net);
         let y_sig = net.outputs()[0];
         assert!(net.node_of(y_sig).unwrap().inputs().is_empty());
+    }
+
+    #[test]
+    fn repeated_fanins_become_one_variable() {
+        // An asymmetric 4-input cell, so a repeat wired to the wrong
+        // earlier pin changes the function: x0·x1 + x2·x3'.
+        let mut library = lsi10k_like();
+        let f = TruthTable::from_fn(4, |m| (m & 3 == 3) || (m & 12 == 4));
+        let asym = library.add(crate::library::Cell::new(
+            "ASYM4",
+            f,
+            4.0,
+            3.0,
+            vec![crate::types::Delay::new(3.0); 4],
+        ));
+        let lib = Arc::new(library);
+        let mut nl = Netlist::new("dup", lib.clone());
+        let a = nl.add_input("a");
+        let b = nl.add_input("b");
+        let c = nl.add_input("c");
+        // Pins (a, a, b, b): the repeat of b at pin 3 copies pin 2, not
+        // boundary position 1. Then (c, t, c) through an asymmetric MUX.
+        let t = nl.add_gate(asym, &[a, a, b, b], "t");
+        let y = nl.add_gate(lib.expect("MUX2"), &[c, t, c], "y");
+        nl.mark_output(t);
+        nl.mark_output(y);
+        let net = extract(&nl, ExtractOptions::default());
+        equivalent(&nl, &net);
+        let t_sig = net.outputs()[0];
+        assert_eq!(net.node_of(t_sig).unwrap().inputs().len(), 1, "t = a");
     }
 
     #[test]

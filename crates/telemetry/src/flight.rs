@@ -693,16 +693,32 @@ mod tests {
         }
     }
 
+    /// The calling thread's own ring counters, shaped like [`stats`]:
+    /// unlike the process-wide sum, other threads recording or exiting
+    /// cannot move them.
+    fn thread_stats() -> FlightStats {
+        THREAD_RING.with(|r| {
+            let g = lock(&r.ring);
+            FlightStats {
+                threads: 1,
+                buffered: g.buf.len() as u64,
+                recorded: g.recorded,
+                dropped: g.dropped,
+                ..FlightStats::default()
+            }
+        })
+    }
+
     #[test]
     fn ring_overwrites_oldest_with_exact_drop_accounting() {
         let _on = RecordOn::new();
-        let before = stats();
+        let before = thread_stats();
         for _ in 0..RING_CAPACITY + 100 {
             instant("bdd.publish", &[]);
         }
         let events = drain_thread();
         assert_eq!(events.len(), RING_CAPACITY);
-        let after = stats();
+        let after = thread_stats();
         assert_eq!(after.dropped - before.dropped, 100, "exactly the overflow is dropped");
         assert_eq!(after.recorded - before.recorded, (RING_CAPACITY + 100) as u64);
     }

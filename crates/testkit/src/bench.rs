@@ -49,6 +49,9 @@ pub struct BenchStats {
     pub p95_ns: f64,
     /// Slowest sample.
     pub max_ns: f64,
+    /// Optional per-stage split of one iteration, `(stage, ns)`, attached
+    /// with [`BenchGroup::split`].
+    pub split_ns: Vec<(String, f64)>,
 }
 
 impl BenchStats {
@@ -64,11 +67,12 @@ impl BenchStats {
             median_ns: rank(0.5),
             p95_ns: rank(0.95),
             max_ns: ns[n - 1],
+            split_ns: Vec::new(),
         }
     }
 
     fn to_json(&self) -> Json {
-        Json::obj([
+        let mut fields = vec![
             ("id", Json::str(self.id.clone())),
             ("iters_per_sample", Json::Num(self.iters_per_sample as f64)),
             ("samples", Json::Num(self.samples as f64)),
@@ -76,7 +80,12 @@ impl BenchStats {
             ("median_ns", Json::Num(self.median_ns)),
             ("p95_ns", Json::Num(self.p95_ns)),
             ("max_ns", Json::Num(self.max_ns)),
-        ])
+        ];
+        if !self.split_ns.is_empty() {
+            let split = self.split_ns.iter().map(|(k, v)| (k.clone(), Json::Num(*v)));
+            fields.push(("split_ns", Json::Obj(split.collect())));
+        }
+        Json::obj(fields)
     }
 }
 
@@ -173,6 +182,16 @@ impl BenchGroup {
         self.results.last().expect("just pushed")
     }
 
+    /// Attaches a per-stage split of one iteration, `(stage, ns)`, to the
+    /// most recent benchmark; it is emitted as that result's `split_ns`
+    /// object. Ignored before the first benchmark.
+    pub fn split(&mut self, parts: Vec<(String, f64)>) -> &mut Self {
+        if let Some(last) = self.results.last_mut() {
+            last.split_ns = parts;
+        }
+        self
+    }
+
     /// Writes the group's JSON report and consumes the group.
     ///
     /// Report path: `$TM_BENCH_DIR/<group>.json` or
@@ -267,6 +286,21 @@ mod tests {
         let mut g = BenchGroup::new("testkit_meta");
         g.meta("jobs", 1.0).meta("gates", 42.0).meta("jobs", 4.0);
         assert_eq!(g.meta, vec![("jobs", 4.0), ("gates", 42.0)]);
+    }
+
+    #[test]
+    fn split_attaches_to_the_last_result() {
+        let mut g = BenchGroup::new("testkit_split");
+        g.sample_size(1).warmup(Duration::ZERO);
+        g.split(vec![("ignored".into(), 1.0)]);
+        g.bench("a", || 1);
+        g.bench("b", || 2);
+        g.split(vec![("stage".into(), 7.0)]);
+        assert!(g.results[0].split_ns.is_empty());
+        let json = g.results[1].to_json().render();
+        assert!(json.contains("\"split_ns\""), "{json}");
+        assert!(json.contains("\"stage\""), "{json}");
+        assert!(!g.results[0].to_json().render().contains("split_ns"));
     }
 
     #[test]

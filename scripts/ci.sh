@@ -45,6 +45,11 @@
 #    (its own Cargo workspace, so the workspace test run above does not
 #    reach it) proves each workload's correctness gate can fail by
 #    feeding it corrupted output.
+# 12. Table 2 golden: the release `table2` stdout (it has no timing
+#    column) must match crates/bench/golden/table2.txt byte for byte, so
+#    a change to the two-level core, extraction, SPCF or mapping that
+#    moves any Table 2 number fails here. The 16-input prime oracle
+#    also runs in release, where its one-second time bound applies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,6 +77,12 @@ cargo test -q --offline --workspace
 
 echo "== benchmark gate tests =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "== Table 2 golden (release table2 stdout, byte-identical) =="
+./target/release/table2 | diff -u crates/bench/golden/table2.txt - \
+    || { echo "ERROR: table2 output differs from crates/bench/golden/table2.txt" >&2; exit 1; }
+echo "ok: table2 matches the golden output"
+cargo test -q --release --offline -p tm-logic --test two_level_oracle sixteen_input
 
 echo "== telemetry smoke bench + schema validation =="
 metrics_json=target/tm-bench/ci-spcf-metrics.json
