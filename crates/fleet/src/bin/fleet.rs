@@ -72,9 +72,14 @@ impl Pass {
         work as f64 / (self.elapsed_ms / 1e3).max(1e-9)
     }
 
-    fn to_json(&self, id: &str) -> Json {
+    /// Percentile `p` of the per-epoch wall times.
+    fn epoch_percentile(&self, p: f64) -> f64 {
         let mut sorted = self.epoch_ms.clone();
         sorted.sort_by(f64::total_cmp);
+        percentile(&sorted, p)
+    }
+
+    fn to_json(&self, id: &str) -> Json {
         let last = self.epochs.last().expect("at least one epoch");
         Json::obj([
             ("id", Json::str(id)),
@@ -83,8 +88,8 @@ impl Pass {
             ("cycles_per_epoch", Json::Num(self.config.cycles_per_epoch as f64)),
             ("elapsed_ms", Json::Num(self.elapsed_ms)),
             ("chips_cycles_per_sec", Json::Num(self.chips_cycles_per_sec())),
-            ("epoch_p50_ms", Json::Num(percentile(&sorted, 0.50))),
-            ("epoch_p95_ms", Json::Num(percentile(&sorted, 0.95))),
+            ("epoch_p50_ms", Json::Num(self.epoch_percentile(0.50))),
+            ("epoch_p95_ms", Json::Num(self.epoch_percentile(0.95))),
             ("detected", Json::Num(self.epochs.iter().map(|a| a.detected).sum::<u64>() as f64)),
             ("escapes", Json::Num(self.epochs.iter().map(|a| a.escapes).sum::<u64>() as f64)),
             ("flagged_chips", Json::Num(last.flagged_total as f64)),
@@ -270,7 +275,7 @@ fn main() {
     eprintln!(
         "fleet: packed {:.0} chips*cycles/s, epoch p50 {:.1} ms, flagged {}",
         packed.chips_cycles_per_sec(),
-        percentile(&packed.epoch_ms, 0.5),
+        packed.epoch_percentile(0.5),
         packed.epochs.last().unwrap().flagged_total
     );
 

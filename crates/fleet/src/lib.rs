@@ -60,7 +60,6 @@ use tm_monitor::wearout::{EpochStats, WearoutAssessment, WearoutPredictor};
 use tm_netlist::{Delay, Netlist};
 use tm_resilience::{TmError, TmResult};
 use tm_sim::aging::AgingModel;
-use tm_sim::func::PatternBlock;
 use tm_sim::packed::PackedTimingSim;
 use tm_sim::timing::TimingSim;
 use tm_sta::Sta;
@@ -681,6 +680,8 @@ fn shard_epoch(
             groups.entry((class, st & FLAGGED != 0)).or_default().push(i);
         }
 
+        // The packed arm's per-block lane words, reused across blocks.
+        let mut lane_words: Vec<u64> = Vec::new();
         for ((class, flagged), members) in &groups {
             let times =
                 if *flagged { &plan.dvs_times[*class] } else { &plan.sample_times[*class] };
@@ -690,48 +691,43 @@ fn shard_epoch(
                         PackedTimingSim::with_scale(&plan.instrumented, &plan.scales[*class]);
                     for block in members.chunks(64) {
                         let lanes = block.len();
-                        let words: Vec<Vec<u64>> = block
-                            .iter()
-                            .map(|&i| {
-                                let chip_id = config.chip_base + (chip_lo + i) as u64;
-                                chip_words(config, epoch, chip_id, num_inputs)
-                            })
-                            .collect();
-                        // Transpose step t's chip-major words into the
-                        // input-major lane layout.
-                        let step = |t: usize| -> PatternBlock {
-                            let mut w = vec![0u64; num_inputs];
-                            for (lane, cw) in words.iter().enumerate() {
-                                let v = cw[t];
-                                for (j, wj) in w.iter_mut().enumerate() {
-                                    *wj |= ((v >> j) & 1) << lane;
+                        // Transpose the block's chip-major words once
+                        // into the input-major lane layout: step `t`'s
+                        // words are `lane_words[t * num_inputs..][..num_inputs]`.
+                        lane_words.clear();
+                        lane_words.resize((cycles + 1) * num_inputs, 0);
+                        for (lane, &i) in block.iter().enumerate() {
+                            let chip_id = config.chip_base + (chip_lo + i) as u64;
+                            let cw = chip_words(config, epoch, chip_id, num_inputs);
+                            for (v, step) in cw.iter().zip(lane_words.chunks_exact_mut(num_inputs))
+                            {
+                                for (j, w) in step.iter_mut().enumerate() {
+                                    *w |= ((v >> j) & 1) << lane;
                                 }
                             }
-                            PatternBlock::from_words(w, lanes)
-                        };
-                        let mut act = vec![0u64; lanes];
-                        let mut det = vec![0u64; lanes];
-                        let mut esc = vec![0u64; lanes];
-                        let mut prev = step(0);
-                        for t in 0..cycles {
-                            let next = step(t + 1);
-                            let r = sim.transition_block(&prev, &next, times);
+                        }
+                        let mut act = [0u64; 64];
+                        let mut det = [0u64; 64];
+                        let mut esc = [0u64; 64];
+                        let (start, rest) = lane_words.split_at(num_inputs);
+                        let mut stepper = sim.stepper(start, lanes);
+                        for next in rest.chunks_exact(num_inputs) {
+                            stepper.step(next, times);
+                            let (sampled, settled) = (stepper.sampled(), stepper.settled());
                             let mut aw = 0u64;
                             let mut dw = 0u64;
                             let mut ew = 0u64;
                             for p in &plan.probes {
-                                let e = r.sampled[p.e_position];
-                                let raw = r.sampled[p.raw_position];
-                                let yt = r.sampled[p.ytilde_position];
+                                let e = sampled[p.e_position];
+                                let raw = sampled[p.raw_position];
+                                let yt = sampled[p.ytilde_position];
                                 aw |= e;
                                 dw |= e & (raw ^ yt); // e ∧ (y ⊕ ỹ)
-                                ew |= r.sampled[p.masked_position]
-                                    ^ r.settled[p.masked_position];
+                                ew |= sampled[p.masked_position] ^ settled[p.masked_position];
                             }
                             add_bits(&mut act, aw);
                             add_bits(&mut det, dw);
                             add_bits(&mut esc, ew);
-                            prev = next;
                         }
                         for (lane, &i) in block.iter().enumerate() {
                             finalize_chip(
@@ -856,19 +852,34 @@ mod tests {
         );
     }
 
+    fn total_escapes(r: &FleetResult) -> u64 {
+        r.epochs.iter().map(|a| a.escapes).sum()
+    }
+
     #[test]
     fn dvs_stepdown_reduces_flagged_chip_errors() {
-        // With a strong stretch, flagged chips sample far after the
-        // slowest settle: their post-flag epochs must be escape-free.
+        // Without a stretch, flagged chips keep escaping; with a strong
+        // one they sample far after the slowest settle, and since the
+        // default threshold flags chips before their first escape, the
+        // whole fleet stays escape-free.
         let design = masked_comparator();
-        let mut config = small_config();
-        config.dvs_stretch = 3.0;
-        let r = run_fleet(&design, &config).unwrap();
-        assert!(r.flagged_chips > 0);
-        // All unmasked escapes (if any) happened on not-yet-flagged
-        // chips: the per-chip escape tally equals the pre-flag one.
-        let total_escape_chips: u64 = r.escapes_before_flag;
-        let _ = total_escape_chips; // escapes may legitimately be zero
+        let escapes_at = |stretch: f64, onset_threshold: f64| {
+            let config = FleetConfig { dvs_stretch: stretch, onset_threshold, ..small_config() };
+            let r = run_fleet(&design, &config).unwrap();
+            (total_escapes(&r), r.flagged_chips)
+        };
+        let onset = small_config().onset_threshold;
+        let (unstretched, flagged) = escapes_at(1.0, onset);
+        assert!(unstretched > 0, "an aged fleet at the nominal clock must escape");
+        assert!(flagged > 0);
+        assert_eq!(escapes_at(3.0, onset), (0, flagged), "the step-down must stop every escape");
+        // A detector that never flags never stretches a clock, so the
+        // stretch cannot matter.
+        let (never_1, none_1) = escapes_at(1.0, 1.0);
+        let (never_3, none_3) = escapes_at(3.0, 1.0);
+        assert_eq!((none_1, none_3), (0, 0));
+        assert!(never_1 > 0);
+        assert_eq!(never_1, never_3);
     }
 
     #[test]
@@ -881,6 +892,39 @@ mod tests {
         config.kernel = FleetKernel::Scalar;
         let scalar = run_fleet(&design, &config).unwrap();
         assert_eq!(packed, scalar);
+    }
+
+    #[test]
+    fn packed_and_scalar_fleets_agree_on_escapes_and_partial_flagging() {
+        // A hot ramp with a detector that needs 20 % of cycles to flag:
+        // some chips escape before the flag, flagged and unflagged
+        // chips share delay classes, and 197 chips leave partial
+        // 64-lane blocks.
+        let design = masked_comparator();
+        let config = FleetConfig {
+            chips: 197,
+            max_stress: 2.5,
+            onset_threshold: 0.2,
+            dvs_stretch: 3.0,
+            ..small_config()
+        };
+        let packed = run_fleet(&design, &config).unwrap();
+        let scalar =
+            run_fleet(&design, &FleetConfig { kernel: FleetKernel::Scalar, ..config.clone() })
+                .unwrap();
+        assert_eq!(packed, scalar);
+        for jobs in [2, 3] {
+            let sharded = run_fleet(&design, &FleetConfig { jobs, ..config.clone() }).unwrap();
+            assert_eq!(sharded, packed, "jobs {jobs}");
+        }
+        assert!(total_escapes(&packed) > 0, "{:?}", packed.epochs);
+        assert!(packed.escapes_before_flag > 0, "{:?}", packed.epochs);
+        assert!(packed.epochs.iter().map(|a| a.detected).sum::<u64>() > 0);
+        assert!(
+            packed.epochs.iter().any(|a| a.flagged_total > 0 && a.flagged_total < a.chips),
+            "some epoch must mix flagged and unflagged chips: {:?}",
+            packed.epochs
+        );
     }
 
     #[test]
